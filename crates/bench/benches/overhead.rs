@@ -59,6 +59,19 @@ fn bench_template_transform(c: &mut Criterion) {
                 .expect("dims match")
         })
     });
+    // An enrolment's batch (mean, four probes, degraded mean) shares
+    // one draw of the matrix; divide by six for the per-print cost.
+    let prints: Vec<MandiblePrint> = (0..6)
+        .map(|p| MandiblePrint::new(vec![0.1 * (p + 1) as f32; 512]))
+        .collect();
+    let batch: Vec<&MandiblePrint> = prints.iter().collect();
+    c.bench_function("cancelable_transform_all_512d_k6", |b| {
+        b.iter(|| {
+            matrix
+                .transform_all(std::hint::black_box(&batch))
+                .expect("dims match")
+        })
+    });
 }
 
 fn bench_similarity(c: &mut Criterion) {

@@ -79,6 +79,16 @@ pub struct PolicyDecision {
     pub rejects: Vec<String>,
 }
 
+/// What one enrolment seals: the primary template, the drift-baseline
+/// distances of the enrolment probes, and the optional degraded
+/// (accelerometer-only) template.
+#[derive(Debug)]
+struct Enrolment {
+    template: CancelableTemplate,
+    baseline: Vec<f64>,
+    degraded: Option<CancelableTemplate>,
+}
+
 /// A complete MandiPass deployment: trained extractor + pipeline
 /// configuration + secure enclave.
 #[derive(Debug)]
@@ -196,6 +206,28 @@ impl MandiPass {
         matrix: &GaussianMatrix,
     ) -> Result<(), MandiPassError> {
         let _span = mandipass_telemetry::span("enroll");
+        let enrolment = self.enrolment(recordings, matrix)?;
+        self.enclave.store(user_id, enrolment.template);
+        // Feed the drift detector its enrolment-time baseline. Freezing
+        // replaces the paper's default operating-point prior with
+        // measured calibration.
+        self.monitor.extend_baseline(&enrolment.baseline);
+        self.monitor.freeze_baseline();
+        if let Some(degraded) = enrolment.degraded {
+            self.enclave.store_degraded(user_id, degraded);
+        }
+        Ok(())
+    }
+
+    /// Computes everything [`Self::enroll`] seals, without storing it.
+    /// Every print the enrolment transforms goes through one
+    /// [`GaussianMatrix::transform_all`] call, so the matrix is drawn
+    /// once per enrolment.
+    fn enrolment(
+        &self,
+        recordings: &[Recording],
+        matrix: &GaussianMatrix,
+    ) -> Result<Enrolment, MandiPassError> {
         let mut prints = Vec::with_capacity(recordings.len());
         for rec in recordings {
             match self.extract_print(rec) {
@@ -212,34 +244,39 @@ impl MandiPass {
             }
         }
         let mean = MandiblePrint::mean(&prints)?;
-        let template = matrix.transform(&mean)?;
-        // Feed the drift detector its enrolment-time baseline: the
-        // genuine distances of this user's own enrolment probes against
-        // the freshly sealed template. Freezing replaces the paper's
-        // default operating-point prior with measured calibration.
-        let baseline: Vec<f64> = prints
-            .iter()
-            .filter_map(|p| matrix.transform(p).ok())
-            .map(|c| cosine_distance(template.as_slice(), c.as_slice()))
-            .collect();
-        self.enclave.store(user_id, template);
-        self.monitor.extend_baseline(&baseline);
-        self.monitor.freeze_baseline();
-        // Also seal an accelerometer-only fallback template, so a later
-        // gyro failure can be verified like-for-like in degraded mode.
-        // Best-effort: enrolment succeeds without one (degraded
-        // verification then falls back to the primary template).
+        // The accelerometer-only fallback template lets a later gyro
+        // failure verify like-for-like in degraded mode. Best-effort:
+        // enrolment succeeds without one (degraded verification then
+        // falls back to the primary template).
         let degraded_cfg = self.degraded_config(1.0);
         let degraded_prints: Vec<MandiblePrint> = recordings
             .iter()
             .filter_map(|rec| self.extract_print_with_config(rec, &degraded_cfg).ok())
             .collect();
-        if let Ok(mean) = MandiblePrint::mean(&degraded_prints) {
-            if let Ok(template) = matrix.transform(&mean) {
-                self.enclave.store_degraded(user_id, template);
-            }
-        }
-        Ok(())
+        let degraded_mean = MandiblePrint::mean(&degraded_prints).ok();
+
+        let mut batch = Vec::with_capacity(prints.len() + 2);
+        batch.push(&mean);
+        batch.extend(&prints);
+        batch.extend(degraded_mean.as_ref());
+        let mut templates = matrix.transform_all(&batch)?;
+        let degraded = if degraded_mean.is_some() {
+            templates.pop()
+        } else {
+            None
+        };
+        // The drift baseline: the genuine distances of this user's own
+        // enrolment probes against the template about to be sealed.
+        let mut templates = templates.into_iter();
+        let template = templates.next().ok_or(MandiPassError::NoEnrolmentData)?;
+        let baseline = templates
+            .map(|c| cosine_distance(template.as_slice(), c.as_slice()))
+            .collect();
+        Ok(Enrolment {
+            template,
+            baseline,
+            degraded,
+        })
     }
 
     /// Verifies a probe recording against `user_id`'s stored template.
@@ -841,6 +878,84 @@ mod tests {
             system.enroll(0, &recs, &matrix),
             Err(MandiPassError::NoEnrolmentData)
         ));
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// Enrolment draws the matrix once for all its prints; what it seals
+    /// must still equal one `transform` per print, bit for bit.
+    #[test]
+    fn batched_enrolment_matches_per_print_transforms() {
+        let (mut system, pop, recorder) = trained_system();
+        let user = &pop.users()[0];
+        let matrix = GaussianMatrix::generate(12, system.embedding_dim());
+        let recs: Vec<_> = (0..4)
+            .map(|s| recorder.record(user, Condition::Normal, 9000 + s))
+            .collect();
+
+        let prints: Vec<_> = recs
+            .iter()
+            .map(|r| system.extract_print(r).unwrap())
+            .collect();
+        let template = matrix
+            .transform(&MandiblePrint::mean(&prints).unwrap())
+            .unwrap();
+        let baseline: Vec<u64> = prints
+            .iter()
+            .map(|p| {
+                let c = matrix.transform(p).unwrap();
+                cosine_distance(template.as_slice(), c.as_slice()).to_bits()
+            })
+            .collect();
+        let degraded_cfg = system.degraded_config(1.0);
+        let degraded_prints: Vec<_> = recs
+            .iter()
+            .map(|r| system.extract_print_with_config(r, &degraded_cfg).unwrap())
+            .collect();
+        let degraded = matrix
+            .transform(&MandiblePrint::mean(&degraded_prints).unwrap())
+            .unwrap();
+
+        let enrolment = system.enrolment(&recs, &matrix).unwrap();
+        assert_eq!(
+            bits(enrolment.template.as_slice()),
+            bits(template.as_slice())
+        );
+        let got: Vec<u64> = enrolment.baseline.iter().map(|d| d.to_bits()).collect();
+        assert_eq!(got, baseline);
+        let sealed_degraded = enrolment.degraded.expect("degraded template");
+        assert_eq!(bits(sealed_degraded.as_slice()), bits(degraded.as_slice()));
+
+        system.enroll(user.id, &recs, &matrix).unwrap();
+        let stored = system.enclave().load(user.id).unwrap();
+        assert_eq!(bits(stored.as_slice()), bits(template.as_slice()));
+        let stored_degraded = system.enclave().load_degraded(user.id).unwrap();
+        assert_eq!(bits(stored_degraded.as_slice()), bits(degraded.as_slice()));
+    }
+
+    #[test]
+    fn enrolment_under_a_wrong_dimension_matrix_stores_nothing() {
+        let (mut system, pop, recorder) = trained_system();
+        let user = &pop.users()[0];
+        let dim = system.embedding_dim();
+        let matrix = GaussianMatrix::generate(13, dim + 1);
+        let recs: Vec<_> = (0..3)
+            .map(|s| recorder.record(user, Condition::Normal, 9100 + s))
+            .collect();
+        assert!(matches!(
+            system.enroll(user.id, &recs, &matrix),
+            Err(MandiPassError::DimensionMismatch { expected, got })
+                if expected == dim + 1 && got == dim
+        ));
+        assert!(!system.enclave().contains(user.id));
+        assert!(system
+            .enclave()
+            .audit_events_for(user.id)
+            .iter()
+            .all(|e| e.kind != crate::enclave::AuditKind::Store));
+        assert!(system.enclave().load_degraded(user.id).is_none());
     }
 
     #[test]

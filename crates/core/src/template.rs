@@ -66,8 +66,9 @@ impl MandiblePrint {
 }
 
 /// A user-revocable Gaussian projection matrix, stored compactly as its
-/// generation seed (the matrix is re-derived on demand; entries are
-/// `N(0, 1/√dim)`).
+/// generation seed. Entries are `N(0, 1/dim)` (standard deviation
+/// `1/√dim`), drawn row-major from the seed on every pass and never
+/// stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GaussianMatrix {
     seed: u64,
@@ -92,22 +93,6 @@ impl GaussianMatrix {
         self.dim
     }
 
-    /// Materialises the matrix entries, row-major `dim × dim`.
-    fn entries(&self) -> Vec<f32> {
-        if self.dim == 0 {
-            return Vec::new();
-        }
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x6761_7573_7373);
-        // `dim >= 1`, so the standard deviation is finite and positive
-        // and the distribution is always constructible.
-        let Ok(normal) = Normal::new(0.0, 1.0 / (self.dim as f64).sqrt()) else {
-            return vec![0.0; self.dim * self.dim];
-        };
-        (0..self.dim * self.dim)
-            .map(|_| normal.sample(&mut rng) as f32)
-            .collect()
-    }
-
     /// Transforms a print into a cancelable template: `x' = x·G`.
     ///
     /// # Errors
@@ -115,27 +100,82 @@ impl GaussianMatrix {
     /// Returns [`MandiPassError::DimensionMismatch`] when the print's
     /// dimension differs from the matrix dimension.
     pub fn transform(&self, print: &MandiblePrint) -> Result<CancelableTemplate, MandiPassError> {
-        let _span = mandipass_telemetry::span("template_transform");
-        if print.dim() != self.dim {
-            return Err(MandiPassError::DimensionMismatch {
+        self.check_dim(print)?;
+        let mut out = self.zero_template();
+        self.project(&[print], std::slice::from_mut(&mut out));
+        Ok(out)
+    }
+
+    /// Transforms every print under this matrix in one pass over `G`,
+    /// so a batch costs one draw of the matrix instead of one per print.
+    /// Each template is bit-identical to [`Self::transform`] of its print.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`MandiPassError::DimensionMismatch`] for the first print
+    /// whose dimension differs from the matrix dimension; no template is
+    /// produced then.
+    pub fn transform_all(
+        &self,
+        prints: &[&MandiblePrint],
+    ) -> Result<Vec<CancelableTemplate>, MandiPassError> {
+        for print in prints {
+            self.check_dim(print)?;
+        }
+        let mut outs: Vec<CancelableTemplate> =
+            prints.iter().map(|_| self.zero_template()).collect();
+        self.project(prints, &mut outs);
+        Ok(outs)
+    }
+
+    fn check_dim(&self, print: &MandiblePrint) -> Result<(), MandiPassError> {
+        if print.dim() == self.dim {
+            Ok(())
+        } else {
+            Err(MandiPassError::DimensionMismatch {
                 expected: self.dim,
                 got: print.dim(),
-            });
+            })
         }
-        let g = self.entries();
-        let x = print.as_slice();
-        let mut out = vec![0.0f32; self.dim];
-        for (j, o) in out.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (i, &xv) in x.iter().enumerate() {
-                acc += xv * g[i * self.dim + j];
-            }
-            *o = acc;
-        }
-        Ok(CancelableTemplate {
-            values: out,
+    }
+
+    fn zero_template(&self) -> CancelableTemplate {
+        CancelableTemplate {
+            values: vec![0.0; self.dim],
             matrix_seed: self.seed,
-        })
+        }
+    }
+
+    /// The streaming pass: draws `G` one row at a time, in the
+    /// generator's row-major order, and adds `x[i]·G[i][·]` into every
+    /// output. Each output component is therefore the sum over ascending
+    /// `i` of the same f32 products a column walk of the whole matrix
+    /// would add, so the result matches it bit for bit while holding only
+    /// one `dim`-sized row. `outs` are zeroed, one per print, with
+    /// dimensions already checked.
+    fn project(&self, prints: &[&MandiblePrint], outs: &mut [CancelableTemplate]) {
+        if prints.is_empty() {
+            return;
+        }
+        let _span = mandipass_telemetry::span("template_transform");
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x6761_7573_7373);
+        // Only `dim == 0` makes the standard deviation non-finite; its
+        // outputs are empty, so there is nothing left to draw for.
+        let Ok(normal) = Normal::new(0.0, 1.0 / (self.dim as f64).sqrt()) else {
+            return;
+        };
+        let mut row = vec![0.0f32; self.dim];
+        for i in 0..self.dim {
+            for g in &mut row {
+                *g = normal.sample(&mut rng) as f32;
+            }
+            for (print, out) in prints.iter().zip(outs.iter_mut()) {
+                let xi = print.as_slice()[i];
+                for (o, &g) in out.values.iter_mut().zip(&row) {
+                    *o += xi * g;
+                }
+            }
+        }
     }
 }
 
@@ -254,6 +294,78 @@ mod tests {
             Err(MandiPassError::DimensionMismatch {
                 expected: 64,
                 got: 32
+            })
+        ));
+    }
+
+    /// The textbook transform, the oracle for the streaming pass:
+    /// materialise all `dim²` entries row-major, then walk each output
+    /// column.
+    fn oracle_transform(matrix: &GaussianMatrix, print: &MandiblePrint) -> Vec<f32> {
+        let dim = matrix.dim();
+        if dim == 0 {
+            return Vec::new();
+        }
+        let mut rng = StdRng::seed_from_u64(matrix.seed() ^ 0x6761_7573_7373);
+        let normal = Normal::new(0.0, 1.0 / (dim as f64).sqrt()).unwrap();
+        let g: Vec<f32> = (0..dim * dim)
+            .map(|_| normal.sample(&mut rng) as f32)
+            .collect();
+        let x = print.as_slice();
+        (0..dim)
+            .map(|j| {
+                let mut acc = 0.0f32;
+                for (i, &xv) in x.iter().enumerate() {
+                    acc += xv * g[i * dim + j];
+                }
+                acc
+            })
+            .collect()
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn streaming_pass_matches_the_materialised_oracle_bit_for_bit() {
+        for dim in [1, 7, 64, 130, 512] {
+            for k in [1usize, 2, 6] {
+                for mseed in [0u64, 7, 0xdead_beef] {
+                    let g = GaussianMatrix::generate(mseed, dim);
+                    let prints: Vec<MandiblePrint> = (0..k)
+                        .map(|p| random_print(100 * dim as u64 + p as u64, dim))
+                        .collect();
+                    let refs: Vec<&MandiblePrint> = prints.iter().collect();
+                    let batch = g.transform_all(&refs).unwrap();
+                    assert_eq!(batch.len(), k);
+                    for (p, t) in prints.iter().zip(&batch) {
+                        let want = bits(&oracle_transform(&g, p));
+                        assert_eq!(bits(t.as_slice()), want, "dim {dim} k {k} seed {mseed}");
+                        assert_eq!(bits(g.transform(p).unwrap().as_slice()), want);
+                        assert_eq!(t.matrix_seed(), mseed);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn empty_batch_yields_no_templates() {
+        let g = GaussianMatrix::generate(3, 64);
+        assert!(g.transform_all(&[]).unwrap().is_empty());
+    }
+
+    #[test]
+    fn batch_dimension_mismatch_yields_no_partial_output() {
+        let g = GaussianMatrix::generate(3, 64);
+        let good = random_print(1, 64);
+        let bad = random_print(2, 63);
+        assert!(matches!(
+            g.transform_all(&[&good, &bad, &good]),
+            Err(MandiPassError::DimensionMismatch {
+                expected: 64,
+                got: 63
             })
         ));
     }
