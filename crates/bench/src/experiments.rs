@@ -988,7 +988,7 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
 
     // Parity first — this also warms both paths and sizes the arena.
     let naive_prints = extractor.extract_naive(&single)?;
-    let fast_prints = extractor.extract_prints_batch(&single)?;
+    let fast_prints = extractor.extract(&single)?;
     let fast_bitwise = naive_prints[0].as_slice() == fast_prints[0].as_slice();
 
     // Naive oracle timing.
@@ -1000,26 +1000,22 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     // arena, so the timed window must not grow it at all.
     mandipass::extractor::reset_arena_growth();
     let fast_per = time_min(&mut || {
-        let _ = extractor
-            .extract_prints_batch(&single)
-            .expect("fast extracts");
+        let _ = extractor.extract(&single).expect("fast extracts");
     });
     let arena = mandipass::extractor::arena_stats();
 
     // Batched: all probes through one [N,C,H,W] forward.
     let refs: Vec<&GradientArray> = grads.iter().collect();
-    let _ = extractor.extract_prints_batch(&refs)?; // size the pool for N
+    let _ = extractor.extract(&refs)?; // size the pool for N
     let batched_per = time_min(&mut || {
-        let _ = extractor
-            .extract_prints_batch(&refs)
-            .expect("batch extracts");
+        let _ = extractor.extract(&refs).expect("batch extracts");
     }) / batch as f64;
 
     // Fused variant on a clone: BN running stats folded into the
     // preceding convs, opt-in because parity loosens to ≤1e-6.
     let mut fused_extractor = stack.extractor.clone();
     let folded = fused_extractor.fuse()?;
-    let fused_prints = fused_extractor.extract_prints_batch(&single)?;
+    let fused_prints = fused_extractor.extract(&single)?;
     let fused_err = naive_prints[0]
         .as_slice()
         .iter()
@@ -1027,14 +1023,12 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
         .map(|(a, b)| f64::from((a - b).abs()))
         .fold(0.0_f64, f64::max);
     let fused_per = time_min(&mut || {
-        let _ = fused_extractor
-            .extract_prints_batch(&single)
-            .expect("fused extracts");
+        let _ = fused_extractor.extract(&single).expect("fused extracts");
     });
 
     // Per-stage attribution from the instrumented spans themselves, so
     // this table and the telemetry report share one measurement path.
-    let (parity, tree) = mandipass_telemetry::capture(|| extractor.extract_prints_batch(&single));
+    let (parity, tree) = mandipass_telemetry::capture(|| extractor.extract(&single));
     let _ = parity?;
     let stats = mandipass_telemetry::report::stage_stats(&tree);
     let mean_ns = |name: &str| {
@@ -1052,7 +1046,7 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
         mandipass_telemetry::profile::set_enabled(true);
         mandipass_telemetry::profile::reset();
         for _ in 0..chunk {
-            let _ = extractor.extract_prints_batch(&single)?;
+            let _ = extractor.extract(&single)?;
         }
         let section = mandipass_telemetry::profile::snapshot().summary_json();
         mandipass_telemetry::profile::set_enabled(was_profiling);
@@ -1885,8 +1879,7 @@ pub fn exp_serve(
     let load_config = LoadConfig {
         clients,
         requests_per_client: requests,
-        // Probes per policy request; >2 exercises the server's batched
-        // extraction path under load (default 2 keeps historical plans).
+        // Probes per policy request (default 2 keeps historical plans).
         policy_batch: env_usize("MANDIPASS_POLICY_BATCH", 2).max(1),
         ..LoadConfig::default()
     };

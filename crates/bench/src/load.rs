@@ -65,10 +65,8 @@ pub struct LoadConfig {
     /// Fault intensity (0..=1) for the faulty share.
     pub fault_intensity: f64,
     /// Probes per policy (faulty-share) request: one fault-injected
-    /// probe plus `policy_batch - 1` clean retries. Two or more retries
-    /// exercise the server's batched-extraction path (one CNN forward
-    /// for the whole retry budget); the default of 2 reproduces the
-    /// historical plan byte for byte.
+    /// probe plus `policy_batch - 1` clean retries. The default of 2
+    /// reproduces the historical plan byte for byte.
     pub policy_batch: usize,
     /// Master seed; every client derives its own stream from it.
     pub seed: u64,

@@ -331,6 +331,11 @@ impl MandiPass {
     /// pipeline runs. Gyro-only faults may fall back to degraded
     /// accelerometer-only verification with a tightened threshold.
     ///
+    /// The walk takes the probes in order and assesses each once. A
+    /// quality-ok probe runs the full [`MandiPass::verify`] pipeline only
+    /// when the walk reaches it, so a request that decides on its first
+    /// probe never preprocesses or extracts the retries behind it.
+    ///
     /// Every rejected probe is recorded in the enclave audit trail and
     /// in per-reason telemetry counters (`quality.reject.<label>`); the
     /// retry depth lands in the `verify.retry_depth` histogram. Flight
@@ -357,255 +362,45 @@ impl MandiPass {
             self.enclave.load(user_id)?;
         }
         let considered = &probes[..probes.len().min(policy.max_attempts.max(1))];
-        // Batched fast path: when two or more probes pass the quality
-        // gate, one [N, …] CNN forward through the scratch arena
-        // amortises the per-forward fixed costs across the retry budget.
-        // Flows with fewer clean probes — the common single-probe serve
-        // request — keep the sequential path, and with it the exact
-        // telemetry shape they had before batching existed.
-        if considered.len() >= 2 {
-            let reports: Vec<quality::QualityReport> = considered
-                .iter()
-                .map(|p| quality::assess(p, &policy.quality))
-                .collect();
-            if reports.iter().filter(|r| r.ok()).count() >= 2 {
-                return self
-                    .verify_with_policy_batched(user_id, considered, reports, matrix, policy);
-            }
-        }
-        self.verify_with_policy_sequential(user_id, considered, matrix, policy)
-    }
-
-    /// The original one-probe-at-a-time policy walk.
-    fn verify_with_policy_sequential(
-        &self,
-        user_id: u32,
-        considered: &[Recording],
-        matrix: &GaussianMatrix,
-        policy: &VerifyPolicy,
-    ) -> Result<PolicyDecision, MandiPassError> {
         let mut rejects: Vec<String> = Vec::new();
         let mut attempts = 0usize;
         for probe in considered {
             attempts += 1;
             let report = quality::assess(probe, &policy.quality);
-            if report.ok() {
-                // Capture the attempt's span tree for the flight
-                // recorder; inside an outer capture (benchmarks, the
-                // determinism suite) this yields and records nothing.
-                let (result, spans) =
-                    mandipass_telemetry::try_capture(|| self.verify(user_id, probe, matrix));
-                match result {
-                    Ok(outcome) => {
-                        self.finish_policy(attempts, false);
-                        return Ok(PolicyDecision {
-                            outcome,
-                            attempts,
-                            degraded: false,
-                            rejects,
-                        });
-                    }
-                    Err(e) => {
-                        self.count_reject("pipeline", e.label());
-                        self.enclave.record_quality_reject(user_id, e.label());
-                        let label = format!("pipeline:{}", e.label());
-                        self.monitor.observe_reject(&label);
-                        self.record_reject_flight(user_id, &label, &report, spans);
-                        rejects.push(label);
-                        continue;
-                    }
-                }
-            }
-            if policy.allow_degraded && report.degraded_viable() {
-                let (result, spans) = mandipass_telemetry::try_capture(|| {
+            let degraded = !report.ok();
+            // Capture the attempt's span tree for the flight recorder;
+            // inside an outer capture (benchmarks, the determinism suite)
+            // this yields and records nothing.
+            let (result, spans) = if report.ok() {
+                mandipass_telemetry::try_capture(|| self.verify(user_id, probe, matrix))
+            } else if policy.allow_degraded && report.degraded_viable() {
+                mandipass_telemetry::try_capture(|| {
                     self.verify_degraded(user_id, probe, matrix, policy)
-                });
-                match result {
-                    Ok(outcome) => {
-                        mandipass_telemetry::counter!("verify.degraded").inc();
-                        self.finish_policy(attempts, true);
-                        return Ok(PolicyDecision {
-                            outcome,
-                            attempts,
-                            degraded: true,
-                            rejects,
-                        });
-                    }
-                    Err(e) => {
-                        self.count_reject("pipeline", e.label());
-                        self.enclave.record_quality_reject(user_id, e.label());
-                        let label = format!("pipeline:{}", e.label());
-                        self.monitor.observe_reject(&label);
-                        self.record_reject_flight(user_id, &label, &report, spans);
-                        rejects.push(label);
-                        continue;
-                    }
-                }
-            }
-            // Quality rejection: one audit event + counter per reason.
-            for reason in &report.reasons {
-                self.count_reject("quality", reason.label());
-                self.enclave.record_quality_reject(user_id, reason.label());
-            }
-            let labels: Vec<&str> = report.reasons.iter().map(|r| r.label()).collect();
-            let label = format!("quality:{}", labels.join("+"));
-            self.monitor.observe_reject(&label);
-            self.record_reject_flight(user_id, &label, &report, None);
-            rejects.push(label);
-        }
-        self.finish_policy(attempts, false);
-        let mut flight = VerifyFlight::new(user_id, FlightOutcome::Exhausted);
-        flight.attempts = attempts;
-        flight.rejects = rejects.clone();
-        self.monitor.record_flight(flight);
-        Err(MandiPassError::RetriesExhausted {
-            attempts,
-            reasons: rejects,
-        })
-    }
-
-    /// The batched policy walk: preprocesses every quality-ok probe,
-    /// extracts all their MandiblePrints through one batched CNN forward
-    /// ([`BiometricExtractor::extract_prints_batch`]), then replays the
-    /// sequential walk's decision/bookkeeping order over the precomputed
-    /// prints. The outcome, attempt counting, reject labels, audit
-    /// events, and monitor feeds match the sequential path exactly; only
-    /// the number of CNN forwards (one instead of up to N) differs.
-    fn verify_with_policy_batched(
-        &self,
-        user_id: u32,
-        considered: &[Recording],
-        reports: Vec<quality::QualityReport>,
-        matrix: &GaussianMatrix,
-        policy: &VerifyPolicy,
-    ) -> Result<PolicyDecision, MandiPassError> {
-        enum Prep {
-            /// Quality-ok, preprocessed: waiting on the batched forward.
-            Grad(GradientArray),
-            /// Quality-ok but the preprocessing pipeline rejected it.
-            Failed(MandiPassError, Option<SpanTree>),
-            /// Quality gate failed; the walk handles degraded/reject.
-            Gated,
-        }
-        let preps: Vec<Prep> = considered
-            .iter()
-            .zip(&reports)
-            .map(|(probe, report)| {
-                if !report.ok() {
-                    return Prep::Gated;
-                }
-                let (result, spans) = mandipass_telemetry::try_capture(|| {
-                    let _span = mandipass_telemetry::span("extract_print");
-                    let array = preprocess(probe, &self.config)?;
-                    GradientArray::from_signal_array(&array, self.config.half_n())
-                });
-                match result {
-                    Ok(grad) => Prep::Grad(grad),
-                    Err(e) => Prep::Failed(e, spans),
-                }
-            })
-            .collect();
-
-        // One forward for every probe that survived preprocessing. A
-        // batch-level failure (shape mismatch) falls back to per-probe
-        // verification below rather than failing the whole policy.
-        let grads: Vec<&GradientArray> = preps
-            .iter()
-            .filter_map(|p| match p {
-                Prep::Grad(g) => Some(g),
-                _ => None,
-            })
-            .collect();
-        let mut batch_prints = self
-            .extractor
-            .extract_prints_batch(&grads)
-            .ok()
-            .map(Vec::into_iter);
-
-        let mut rejects: Vec<String> = Vec::new();
-        let mut attempts = 0usize;
-        for (i, probe) in considered.iter().enumerate() {
-            attempts += 1;
-            let report = &reports[i];
-            match &preps[i] {
-                Prep::Grad(_) => {
-                    let print = batch_prints.as_mut().and_then(Iterator::next);
-                    let (result, spans) = mandipass_telemetry::try_capture(|| match &print {
-                        Some(print) => self.verify_print(user_id, print, matrix),
-                        // Batch extraction failed: per-probe fallback.
-                        None => self.verify(user_id, probe, matrix),
+                })
+            } else {
+                let reasons: Vec<&'static str> = report.reasons.iter().map(|r| r.label()).collect();
+                self.reject(user_id, "quality", &reasons, &report, None, &mut rejects);
+                continue;
+            };
+            match result {
+                Ok(outcome) => {
+                    self.finish_policy(attempts, degraded);
+                    return Ok(PolicyDecision {
+                        outcome,
+                        attempts,
+                        degraded,
+                        rejects,
                     });
-                    match result {
-                        Ok(outcome) => {
-                            self.finish_policy(attempts, false);
-                            return Ok(PolicyDecision {
-                                outcome,
-                                attempts,
-                                degraded: false,
-                                rejects,
-                            });
-                        }
-                        Err(e) => {
-                            self.count_reject("pipeline", e.label());
-                            self.enclave.record_quality_reject(user_id, e.label());
-                            let label = format!("pipeline:{}", e.label());
-                            self.monitor.observe_reject(&label);
-                            self.record_reject_flight(user_id, &label, report, spans);
-                            rejects.push(label);
-                            continue;
-                        }
-                    }
                 }
-                Prep::Failed(e, spans) => {
-                    // The sequential path loads the template before its
-                    // pipeline fails; replay that enclave access so the
-                    // audit trail stays identical.
-                    let _ = self.enclave.load(user_id);
-                    self.count_reject("pipeline", e.label());
-                    self.enclave.record_quality_reject(user_id, e.label());
-                    let label = format!("pipeline:{}", e.label());
-                    self.monitor.observe_reject(&label);
-                    self.record_reject_flight(user_id, &label, report, spans.clone());
-                    rejects.push(label);
-                    continue;
-                }
-                Prep::Gated => {}
+                Err(e) => self.reject(
+                    user_id,
+                    "pipeline",
+                    &[e.label()],
+                    &report,
+                    spans,
+                    &mut rejects,
+                ),
             }
-            if policy.allow_degraded && report.degraded_viable() {
-                let (result, spans) = mandipass_telemetry::try_capture(|| {
-                    self.verify_degraded(user_id, probe, matrix, policy)
-                });
-                match result {
-                    Ok(outcome) => {
-                        mandipass_telemetry::counter!("verify.degraded").inc();
-                        self.finish_policy(attempts, true);
-                        return Ok(PolicyDecision {
-                            outcome,
-                            attempts,
-                            degraded: true,
-                            rejects,
-                        });
-                    }
-                    Err(e) => {
-                        self.count_reject("pipeline", e.label());
-                        self.enclave.record_quality_reject(user_id, e.label());
-                        let label = format!("pipeline:{}", e.label());
-                        self.monitor.observe_reject(&label);
-                        self.record_reject_flight(user_id, &label, report, spans);
-                        rejects.push(label);
-                        continue;
-                    }
-                }
-            }
-            for reason in &report.reasons {
-                self.count_reject("quality", reason.label());
-                self.enclave.record_quality_reject(user_id, reason.label());
-            }
-            let labels: Vec<&str> = report.reasons.iter().map(|r| r.label()).collect();
-            let label = format!("quality:{}", labels.join("+"));
-            self.monitor.observe_reject(&label);
-            self.record_reject_flight(user_id, &label, report, None);
-            rejects.push(label);
         }
         self.finish_policy(attempts, false);
         let mut flight = VerifyFlight::new(user_id, FlightOutcome::Exhausted);
@@ -618,44 +413,39 @@ impl MandiPass {
         })
     }
 
-    /// Verifies a precomputed MandiblePrint against `user_id`'s stored
-    /// template — the tail of [`MandiPass::verify`] after extraction,
-    /// used by the batched policy walk (which extracts prints up front).
-    fn verify_print(
+    /// Records one rejected policy attempt: a `<family>.reject.<reason>`
+    /// counter and an enclave audit event per reason, then the
+    /// `<family>:<reasons>` label in the monitor, a flight record (with
+    /// the quality report and, when one was captured, the attempt's span
+    /// tree as detail) and the decision's reject list.
+    fn reject(
         &self,
         user_id: u32,
-        print: &MandiblePrint,
-        matrix: &GaussianMatrix,
-    ) -> Result<VerifyOutcome, MandiPassError> {
-        let _span = mandipass_telemetry::span("verify");
-        let template = {
-            let _span = mandipass_telemetry::span("enclave_load");
-            self.enclave.load(user_id)?
-        };
-        let cancelable = matrix.transform(print)?;
-        let outcome = self.decide(&template, &cancelable);
-        self.finish_verify(user_id, outcome);
-        Ok(outcome)
-    }
-
-    /// Records one rejected policy attempt in the flight recorder,
-    /// attaching the quality report and (when one was captured) the
-    /// attempt's span tree as structured detail.
-    fn record_reject_flight(
-        &self,
-        user_id: u32,
-        label: &str,
+        family: &str,
+        reasons: &[&'static str],
         report: &quality::QualityReport,
         spans: Option<SpanTree>,
+        rejects: &mut Vec<String>,
     ) {
+        for reason in reasons {
+            // Dynamically named metrics: the `counter!` macro caches one
+            // handle per call site, which cannot key on the reason.
+            mandipass_telemetry::metrics()
+                .counter(&format!("{family}.reject.{reason}"))
+                .inc();
+            self.enclave.record_quality_reject(user_id, reason);
+        }
+        let label = format!("{family}:{}", reasons.join("+"));
+        self.monitor.observe_reject(&label);
         let mut flight = VerifyFlight::new(user_id, FlightOutcome::Rejected);
-        flight.rejects.push(label.to_string());
+        flight.rejects.push(label.clone());
         let mut detail = vec![("quality".to_string(), report.to_json())];
         if let Some(tree) = spans {
             detail.push(("spans".to_string(), tree.to_json()));
         }
         flight.detail = Value::Object(detail);
         self.monitor.record_flight(flight);
+        rejects.push(label);
     }
 
     /// Accelerometer-only verification under a tightened threshold: the
@@ -715,18 +505,10 @@ impl MandiPass {
         }
     }
 
-    /// Per-reason reject counters use dynamically named metrics (the
-    /// `counter!` macro caches one handle per call site, which cannot
-    /// key on the reason).
-    fn count_reject(&self, family: &str, label: &str) {
-        mandipass_telemetry::metrics()
-            .counter(&format!("{family}.reject.{label}"))
-            .inc();
-    }
-
     fn finish_policy(&self, attempts: usize, degraded: bool) {
         mandipass_telemetry::histogram!("verify.retry_depth").observe(attempts as f64);
         if degraded {
+            mandipass_telemetry::counter!("verify.degraded").inc();
             mandipass_telemetry::counter!("verify.degraded_decisions").inc();
         }
     }
@@ -1032,6 +814,59 @@ mod tests {
             .collect();
         assert!(!rejections.is_empty());
         assert!(rejections.iter().any(|e| e.reason == Some("non_finite")));
+    }
+
+    #[test]
+    fn policy_assesses_each_probe_once() {
+        let (mut system, pop, recorder) = trained_system();
+        let user = &pop.users()[0];
+        let matrix = GaussianMatrix::generate(17, system.embedding_dim());
+        let enrolment: Vec<_> = (0..4)
+            .map(|s| recorder.record(user, Condition::Normal, 8250 + s))
+            .collect();
+        system.enroll(user.id, &enrolment, &matrix).unwrap();
+
+        let good = recorder.record(user, Condition::Normal, 8350);
+        let axes = vec![vec![f64::NAN; good.len()]; 6];
+        let bad = Recording::from_parts(good.sample_rate_hz(), axes, good.condition(), 0).unwrap();
+        let (decision, tree) = mandipass_telemetry::capture(|| {
+            system.verify_with_policy(user.id, &[bad, good], &matrix, &VerifyPolicy::default())
+        });
+        assert_eq!(decision.unwrap().attempts, 2);
+        assert_eq!(
+            tree.count("quality_assess"),
+            2,
+            "a probe was assessed twice"
+        );
+        // Only the clean probe reaches the pipeline: one preprocess, one
+        // forward, one decision.
+        assert_eq!(tree.count("extract_print"), 1);
+        assert_eq!(tree.count("cnn_forward"), 1);
+        assert_eq!(tree.count("verify"), 1);
+    }
+
+    #[test]
+    fn policy_leaves_retries_behind_a_deciding_probe_untouched() {
+        let (mut system, pop, recorder) = trained_system();
+        let user = &pop.users()[0];
+        let matrix = GaussianMatrix::generate(19, system.embedding_dim());
+        let enrolment: Vec<_> = (0..4)
+            .map(|s| recorder.record(user, Condition::Normal, 8450 + s))
+            .collect();
+        system.enroll(user.id, &enrolment, &matrix).unwrap();
+
+        let probes: Vec<_> = (0..3)
+            .map(|s| recorder.record(user, Condition::Normal, 8550 + s))
+            .collect();
+        let (decision, tree) = mandipass_telemetry::capture(|| {
+            system.verify_with_policy(user.id, &probes, &matrix, &VerifyPolicy::default())
+        });
+        assert_eq!(decision.unwrap().attempts, 1);
+        // The first clean probe decides, so the two retries are neither
+        // assessed, preprocessed nor pushed through the CNN.
+        assert_eq!(tree.count("quality_assess"), 1);
+        assert_eq!(tree.count("preprocess"), 1);
+        assert_eq!(tree.count("cnn_forward"), 1);
     }
 
     #[test]

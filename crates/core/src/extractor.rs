@@ -422,21 +422,11 @@ impl BiometricExtractor {
     }
 
     /// Extracts MandiblePrints from gradient arrays (evaluation mode —
-    /// running batch-norm statistics, no caching). Delegates to
-    /// [`BiometricExtractor::extract_prints_batch`]: one probe is a batch
-    /// of one.
-    ///
-    /// # Errors
-    ///
-    /// Propagates shape mismatches from [`BiometricExtractor::batch_input`].
-    pub fn extract(&self, arrays: &[&GradientArray]) -> Result<Vec<MandiblePrint>, MandiPassError> {
-        self.extract_prints_batch(arrays)
-    }
-
-    /// Batched probe extraction through the zero-allocation fast path:
-    /// pushes all `N` probes through one `[N, 2, axes, half_n]` forward
-    /// using the calling thread's scratch arena, so retried verifications
-    /// amortise the per-forward fixed costs. Bit-exact with
+    /// running batch-norm statistics, no caching) through the
+    /// zero-allocation fast path: pushes all `N` probes through one
+    /// `[N, 2, axes, half_n]` forward using the calling thread's scratch
+    /// arena, so retried verifications amortise the per-forward fixed
+    /// costs. One probe is a batch of one. Bit-exact with
     /// [`BiometricExtractor::extract_naive`] (the im2col+GEMM kernel
     /// accumulates in the same order as the scalar loop nest).
     ///
@@ -444,10 +434,7 @@ impl BiometricExtractor {
     ///
     /// Returns [`MandiPassError::DimensionMismatch`] when an array's shape
     /// differs from the configuration.
-    pub fn extract_prints_batch(
-        &self,
-        arrays: &[&GradientArray],
-    ) -> Result<Vec<MandiblePrint>, MandiPassError> {
+    pub fn extract(&self, arrays: &[&GradientArray]) -> Result<Vec<MandiblePrint>, MandiPassError> {
         if arrays.is_empty() {
             return Ok(Vec::new());
         }
@@ -725,7 +712,7 @@ mod tests {
         ];
         let refs: Vec<&GradientArray> = arrays.iter().collect();
         let naive = ex.extract_naive(&refs).unwrap();
-        let fast = ex.extract_prints_batch(&refs).unwrap();
+        let fast = ex.extract(&refs).unwrap();
         assert_eq!(naive.len(), fast.len());
         for (a, b) in naive.iter().zip(&fast) {
             assert_eq!(a.as_slice(), b.as_slice(), "fast path diverged");
@@ -740,7 +727,7 @@ mod tests {
         ex.prepare_inference();
         let a = toy_gradient_array(0.4);
         let naive = ex.extract_naive(&[&a]).unwrap();
-        let fast = ex.extract_prints_batch(&[&a]).unwrap();
+        let fast = ex.extract(&[&a]).unwrap();
         assert_eq!(naive[0].as_slice(), fast[0].as_slice());
     }
 
@@ -750,9 +737,9 @@ mod tests {
         ex.prepare_inference();
         let arrays = [toy_gradient_array(0.2), toy_gradient_array(1.4)];
         let refs: Vec<&GradientArray> = arrays.iter().collect();
-        let batched = ex.extract_prints_batch(&refs).unwrap();
+        let batched = ex.extract(&refs).unwrap();
         for (i, a) in arrays.iter().enumerate() {
-            let single = ex.extract_prints_batch(&[a]).unwrap();
+            let single = ex.extract(&[a]).unwrap();
             assert_eq!(single[0].as_slice(), batched[i].as_slice());
         }
     }
@@ -772,7 +759,7 @@ mod tests {
         let reference = ex.extract_naive(&[&a]).unwrap();
         let folded = ex.fuse().unwrap();
         assert_eq!(folded, 6, "three batch norms per branch fold away");
-        let fused = ex.extract_prints_batch(&[&a]).unwrap();
+        let fused = ex.extract(&[&a]).unwrap();
         for (x, y) in fused[0].as_slice().iter().zip(reference[0].as_slice()) {
             assert!((x - y).abs() < 1e-6, "fused {x} vs unfused {y}");
         }
@@ -785,11 +772,11 @@ mod tests {
         let a = toy_gradient_array(0.5);
         // Warm up, then demand zero growth over a steady-state window.
         for _ in 0..2 {
-            ex.extract_prints_batch(&[&a]).unwrap();
+            ex.extract(&[&a]).unwrap();
         }
         reset_arena_growth();
         for _ in 0..5 {
-            ex.extract_prints_batch(&[&a]).unwrap();
+            ex.extract(&[&a]).unwrap();
         }
         let stats = arena_stats();
         assert_eq!(stats.growth_events, 0, "steady-state extraction grew");

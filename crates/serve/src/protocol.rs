@@ -257,7 +257,8 @@ impl Request {
                 let probes = value
                     .get("probes")
                     .and_then(Value::as_array)
-                    .ok_or("verify_policy misses the \"probes\" array")?;
+                    .filter(|probes| !probes.is_empty())
+                    .ok_or("verify_policy misses a non-empty \"probes\" array")?;
                 Ok(Request::VerifyWithPolicy {
                     user_id: user()?,
                     probes: probes
@@ -754,6 +755,24 @@ mod tests {
         assert!(
             mismatched.get() > mismatched_before,
             "version mismatches must be counted separately"
+        );
+    }
+
+    /// A policy request with no probes is malformed input, not a
+    /// biometric that exhausted its retries.
+    #[test]
+    fn empty_policy_probe_list_is_a_parse_error() {
+        let malformed = mandipass_telemetry::metrics().counter("serve.frame.malformed");
+        let before = malformed.get();
+        let empty = Request::VerifyWithPolicy {
+            user_id: 3,
+            probes: Vec::new(),
+        };
+        let err = Request::from_frame(empty.to_json().to_json().as_bytes()).unwrap_err();
+        assert!(err.contains("non-empty \"probes\""), "{err}");
+        assert!(
+            malformed.get() > before,
+            "the empty list counts as malformed"
         );
     }
 

@@ -69,7 +69,8 @@ fn same_seed_runs_produce_bit_identical_mandibleprints() {
 
 /// The telemetry integration half of the determinism story: with the
 /// logical clock active, two fresh same-seed systems must emit
-/// bit-identical verify span trees *and* identical enclave audit trails.
+/// bit-identical verify and single-probe policy span trees *and*
+/// identical enclave audit trails.
 #[test]
 fn same_seed_verify_emits_bit_identical_span_tree_and_audit_trail() {
     mandipass_telemetry::set_deterministic(true);
@@ -97,13 +98,57 @@ fn same_seed_verify_emits_bit_identical_span_tree_and_audit_trail() {
         ] {
             assert!(tree.count(stage) > 0, "span tree misses stage {stage}");
         }
-        (tree.to_json().to_json(), sys.enclave().audit_trail())
+        // A single-probe policy request takes the same walk as a
+        // multi-probe one: assess the probe, then run the whole `verify`
+        // pipeline under the walk. Its shape is pinned here.
+        let retry = rec.record(user, Condition::Normal, 8101);
+        let (decision, policy_tree) = mandipass_telemetry::capture(|| {
+            sys.verify_with_policy(user.id, &[retry], &matrix, &VerifyPolicy::default())
+        });
+        decision.expect("decides");
+        for stage in [
+            "verify_with_policy",
+            "quality_assess",
+            "extract_print",
+            "preprocess",
+            "gradient_array",
+            "cnn_forward",
+            "verify",
+            "enclave_load",
+            "template_transform",
+            "similarity",
+        ] {
+            assert!(
+                policy_tree.count(stage) > 0,
+                "policy span tree misses stage {stage}"
+            );
+        }
+        let walk: Vec<&str> = policy_tree
+            .spans()
+            .iter()
+            .filter(|s| s.depth == 2)
+            .map(|s| s.name)
+            .collect();
+        assert_eq!(
+            walk,
+            ["enclave_load", "quality_assess", "verify"],
+            "policy walk stages moved"
+        );
+        (
+            tree.to_json().to_json(),
+            policy_tree.to_json().to_json(),
+            sys.enclave().audit_trail(),
+        )
     };
-    let (tree_a, trail_a) = run();
-    let (tree_b, trail_b) = run();
+    let (tree_a, policy_a, trail_a) = run();
+    let (tree_b, policy_b, trail_b) = run();
     mandipass_telemetry::set_deterministic(false);
 
     assert_eq!(tree_a, tree_b, "span trees diverged across same-seed runs");
+    assert_eq!(
+        policy_a, policy_b,
+        "policy span trees diverged across same-seed runs"
+    );
     assert!(!trail_a.is_empty());
     assert_eq!(trail_a.len(), trail_b.len(), "audit trail lengths diverged");
     for (a, b) in trail_a.iter().zip(&trail_b) {

@@ -2,7 +2,7 @@
 //! path: parity between the deployed im2col+GEMM path and the naive
 //! tensor-per-layer oracle on a *trained* extractor, batch invariance,
 //! conv+BN fusion tolerance, scratch-arena steady state, and
-//! equivalence of the batched multi-probe policy walk with direct
+//! equivalence of the policy walk, at every probe count, with direct
 //! single-probe verification.
 
 use mandipass::extractor::{arena_stats, reset_arena_growth};
@@ -40,10 +40,7 @@ fn trained_fast_path_matches_naive_oracle_bit_for_bit() {
         .extractor
         .extract_naive(&refs)
         .expect("naive extracts");
-    let fast = stack
-        .extractor
-        .extract_prints_batch(&refs)
-        .expect("fast extracts");
+    let fast = stack.extractor.extract(&refs).expect("fast extracts");
     assert_eq!(naive.len(), fast.len());
     for (i, (n, f)) in naive.iter().zip(&fast).enumerate() {
         assert_bitwise(n, f, &format!("probe {i} fast vs naive"));
@@ -56,15 +53,9 @@ fn batched_extraction_is_invariant_to_batch_size() {
     let user = stack.held_out_users()[0].clone();
     let grads = grads_for(&stack, &user, 3);
     let refs: Vec<&GradientArray> = grads.iter().collect();
-    let batched = stack
-        .extractor
-        .extract_prints_batch(&refs)
-        .expect("batch extracts");
+    let batched = stack.extractor.extract(&refs).expect("batch extracts");
     for (i, grad) in grads.iter().enumerate() {
-        let single = stack
-            .extractor
-            .extract_prints_batch(&[grad])
-            .expect("single extracts");
+        let single = stack.extractor.extract(&[grad]).expect("single extracts");
         assert_bitwise(
             &batched[i],
             &single[0],
@@ -87,7 +78,7 @@ fn fused_deployment_stays_within_tolerance() {
     let mut fused = stack.extractor.clone();
     let folded = fused.fuse().expect("fuses");
     assert!(folded > 0, "a trained paper-config network has BN to fold");
-    let prints = fused.extract_prints_batch(&refs).expect("fused extracts");
+    let prints = fused.extract(&refs).expect("fused extracts");
     for (n, f) in naive.iter().zip(&prints) {
         for (va, vb) in n.as_slice().iter().zip(f.as_slice()) {
             assert!(
@@ -109,14 +100,11 @@ fn arena_reaches_steady_state_across_extractions() {
     // Two warm-up passes size the pool; after that the arena must stop
     // growing — that is the zero-alloc claim at integration level.
     for _ in 0..2 {
-        let _ = stack.extractor.extract_prints_batch(&refs).expect("warms");
+        let _ = stack.extractor.extract(&refs).expect("warms");
     }
     reset_arena_growth();
     for _ in 0..4 {
-        let _ = stack
-            .extractor
-            .extract_prints_batch(&refs)
-            .expect("extracts");
+        let _ = stack.extractor.extract(&refs).expect("extracts");
     }
     let stats = arena_stats();
     assert_eq!(
@@ -126,9 +114,9 @@ fn arena_reaches_steady_state_across_extractions() {
     assert!(stats.high_water_bytes > 0);
 }
 
-/// The batched policy walk (≥2 quality-ok probes → one [N,…] forward)
-/// must reach the exact decision direct single-probe verification
-/// reaches: same accept bit, bit-identical distance, same attempt count.
+/// The policy walk must reach the exact decision direct single-probe
+/// verification reaches, whatever the probe count: same accept bit, bit-identical
+/// distance, and an attempt count that skips only gated probes.
 #[test]
 fn multi_probe_policy_walk_matches_direct_verification() {
     let stack = TrainedStack::build(EvalScale::smoke_test()).expect("training succeeds");
@@ -136,8 +124,8 @@ fn multi_probe_policy_walk_matches_direct_verification() {
     let recorder = stack.recorder.clone();
     for threshold in [1.5, 1e-9] {
         // 1.5 accepts any probe (cosine distance < 2), 1e-9 rejects any;
-        // both decide on attempt 1, so the two paths must agree bit for
-        // bit whichever way the decision goes.
+        // both decide on p1, so the two paths must agree bit for bit
+        // whichever way the decision goes.
         let config = PipelineConfig {
             threshold,
             ..PipelineConfig::default()
@@ -153,18 +141,36 @@ fn multi_probe_policy_walk_matches_direct_verification() {
         let p2 = recorder.record(&user, Condition::Normal, 902);
         let direct = sys.verify(user.id, &p1, &matrix).expect("verifies");
 
+        // A non-finite probe fails the quality gate and has no degraded
+        // fallback, so it consumes one attempt before p1 decides.
+        let gated = Recording::from_parts(
+            p1.sample_rate_hz(),
+            vec![vec![f64::NAN; p1.len()]; 6],
+            p1.condition(),
+            p1.user_id(),
+        )
+        .expect("well-shaped probe");
+
         let policy = VerifyPolicy::default();
-        let multi = sys
-            .verify_with_policy(user.id, &[p1.clone(), p2.clone()], &matrix, &policy)
-            .expect("decides");
-        assert_eq!(multi.attempts, 1, "first quality-ok probe decides");
-        assert_eq!(multi.outcome.accepted, direct.accepted);
-        assert_eq!(
-            multi.outcome.distance.to_bits(),
-            direct.distance.to_bits(),
-            "batched policy walk diverged from direct verification"
-        );
-        assert!(multi.rejects.is_empty());
-        assert_eq!(multi.outcome.accepted, threshold > 1.0);
+        for (probes, attempts) in [
+            (vec![p1.clone(), p2], 1),
+            (vec![p1.clone()], 1),
+            (vec![gated, p1.clone()], 2),
+        ] {
+            let multi = sys
+                .verify_with_policy(user.id, &probes, &matrix, &policy)
+                .expect("decides");
+            assert_eq!(multi.attempts, attempts, "first quality-ok probe decides");
+            assert_eq!(multi.outcome.accepted, direct.accepted);
+            assert_eq!(
+                multi.outcome.distance.to_bits(),
+                direct.distance.to_bits(),
+                "policy walk over {} probes diverged from direct verification",
+                probes.len()
+            );
+            assert_eq!(multi.rejects.len(), attempts - 1);
+            assert!(!multi.degraded);
+            assert_eq!(multi.outcome.accepted, threshold > 1.0);
+        }
     }
 }
