@@ -1,7 +1,7 @@
 //! Hot-path benchmark: trains an extractor, then measures the per-verify
 //! forward latency of the naive tensor-per-layer oracle against the
 //! zero-alloc im2col+GEMM fast path (plus the fused conv+BN variant and
-//! the batched [N,C,H,W] forward), all in one binary in one run, and
+//! the batched `[N,C,H,W]` forward), all in one binary in one run, and
 //! writes the schema-versioned `BENCH_hotpath.json` the CI perf gate
 //! checks against its speedup floor.
 //!

@@ -938,7 +938,7 @@ pub fn exp_overhead(stack: &mut TrainedStack) -> ReportTable {
 
 /// Hot path: the zero-alloc im2col+GEMM inference path measured against
 /// the naive tensor-per-layer oracle, in the same binary in the same
-/// run, plus the fused conv+BN variant and the batched [N,C,H,W]
+/// run, plus the fused conv+BN variant and the batched `[N,C,H,W]`
 /// forward. Produces the schema-versioned `BENCH_hotpath.json` document
 /// the CI perf gate consumes; every ratio in it is same-run, so the
 /// gate is machine-independent.
@@ -985,15 +985,18 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
         .collect();
     let single = [&grads[0]];
     let extractor = &stack.extractor;
+    // The oracle runs `forward`, which takes `&mut self`: clone once,
+    // outside the timed windows, so they time kernels and not clones.
+    let mut oracle = stack.extractor.clone();
 
     // Parity first — this also warms both paths and sizes the arena.
-    let naive_prints = extractor.extract_naive(&single)?;
+    let naive_prints = oracle.extract_naive(&single)?;
     let fast_prints = extractor.extract(&single)?;
     let fast_bitwise = naive_prints[0].as_slice() == fast_prints[0].as_slice();
 
     // Naive oracle timing.
     let naive_per = time_min(&mut || {
-        let _ = extractor.extract_naive(&single).expect("naive extracts");
+        let _ = oracle.extract_naive(&single).expect("naive extracts");
     });
 
     // Fast path, steady state: the warm-up above already sized the

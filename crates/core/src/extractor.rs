@@ -167,21 +167,14 @@ pub struct BiometricExtractor {
     cached_batch: Option<usize>,
 }
 
-/// Splits the stacked `[N, 2, axes, half_n]` input into its positive- and
-/// negative-direction planes, one `[N, 1, axes, half_n]` tensor each.
-fn split_directions(config: &ExtractorConfig, input: &Tensor) -> (Tensor, Tensor) {
-    let n = input.shape()[0];
-    let plane = config.axes * config.half_n;
-    let mut pos = Tensor::zeros(vec![n, 1, config.axes, config.half_n]);
-    let mut neg = Tensor::zeros(vec![n, 1, config.axes, config.half_n]);
-    for i in 0..n {
-        let base = i * 2 * plane;
-        pos.data_mut()[i * plane..(i + 1) * plane]
-            .copy_from_slice(&input.data()[base..base + plane]);
-        neg.data_mut()[i * plane..(i + 1) * plane]
-            .copy_from_slice(&input.data()[base + plane..base + 2 * plane]);
+/// Splits stacked `[N, 2, axes, half_n]` values into the positive- and
+/// negative-direction planes, `[N, 1, axes, half_n]` each.
+fn split_directions(input: &[f32], plane: usize, pos: &mut [f32], neg: &mut [f32]) {
+    let planes = pos.chunks_exact_mut(plane).zip(neg.chunks_exact_mut(plane));
+    for (src, (p, q)) in input.chunks_exact(2 * plane).zip(planes) {
+        p.copy_from_slice(&src[..plane]);
+        q.copy_from_slice(&src[plane..]);
     }
-    (pos, neg)
 }
 
 fn build_branch(config: &ExtractorConfig, in_channels: usize, seed: u64) -> Sequential {
@@ -246,6 +239,22 @@ impl BiometricExtractor {
         self.config.embedding_dim
     }
 
+    /// Checks every array's shape against the configuration and returns
+    /// the values per array, `2 · axes · half_n`.
+    fn check_arrays(&self, arrays: &[&GradientArray]) -> Result<usize, MandiPassError> {
+        let per = 2 * self.config.axes * self.config.half_n;
+        match arrays
+            .iter()
+            .find(|a| a.axes() != self.config.axes || a.half_n() != self.config.half_n)
+        {
+            Some(a) => Err(MandiPassError::DimensionMismatch {
+                expected: per,
+                got: 2 * a.axes() * a.half_n(),
+            }),
+            None => Ok(per),
+        }
+    }
+
     /// Batches gradient arrays into the CNN input tensor
     /// `[N, 2, axes, half_n]`.
     ///
@@ -254,15 +263,9 @@ impl BiometricExtractor {
     /// Returns [`MandiPassError::DimensionMismatch`] when an array's shape
     /// differs from the configuration.
     pub fn batch_input(&self, arrays: &[&GradientArray]) -> Result<Tensor, MandiPassError> {
-        let per = 2 * self.config.axes * self.config.half_n;
+        let per = self.check_arrays(arrays)?;
         let mut data = Vec::with_capacity(arrays.len() * per);
         for a in arrays {
-            if a.axes() != self.config.axes || a.half_n() != self.config.half_n {
-                return Err(MandiPassError::DimensionMismatch {
-                    expected: per,
-                    got: 2 * a.axes() * a.half_n(),
-                });
-            }
             data.extend(a.to_f32());
         }
         Tensor::from_vec(
@@ -273,13 +276,16 @@ impl BiometricExtractor {
     }
 
     /// Forward pass: returns `(embeddings [N, D], logits [N, classes])`.
+    /// With `train = false` this is the evaluation-mode reference (running
+    /// batch-norm statistics, no caching, naive convolution and linear
+    /// loops) that [`BiometricExtractor::extract`] matches bit for bit.
     pub fn forward(&mut self, input: &Tensor, train: bool) -> (Tensor, Tensor) {
-        if !train {
-            return self.infer_forward(input);
-        }
         let features = match &mut self.branch_negative {
             Some(branch_negative) => {
-                let (pos, neg) = split_directions(&self.config, input);
+                let (axes, half_n) = (self.config.axes, self.config.half_n);
+                let mut pos = Tensor::zeros(vec![input.shape()[0], 1, axes, half_n]);
+                let mut neg = pos.clone();
+                split_directions(input.data(), axes * half_n, pos.data_mut(), neg.data_mut());
                 let fp = self.branch_positive.forward(&pos, train);
                 let fn_ = branch_negative.forward(&neg, train);
                 Tensor::concat_cols(&[&fp, &fn_])
@@ -289,42 +295,9 @@ impl BiometricExtractor {
         let pre = self.head.forward(&features, train);
         let embedding = self.head_act.forward(&pre, train);
         let logits = self.classifier.forward(&embedding, train);
-        self.cached_batch = Some(input.shape()[0]);
-        (embedding, logits)
-    }
-
-    /// Evaluation-mode forward pass through shared references: returns
-    /// `(embeddings [N, D], logits [N, classes])` using batch-norm running
-    /// statistics, without touching any backward cache. This is the
-    /// deployed path — a trained extractor can serve concurrent
-    /// verifications.
-    pub fn infer_forward(&self, input: &Tensor) -> (Tensor, Tensor) {
-        let _span = mandipass_telemetry::span("cnn_forward");
-        let features = match &self.branch_negative {
-            Some(branch_negative) => {
-                let (pos, neg) = split_directions(&self.config, input);
-                let fp = {
-                    let _span = mandipass_telemetry::span("branch_positive");
-                    self.branch_positive.infer(&pos)
-                };
-                let fn_ = {
-                    let _span = mandipass_telemetry::span("branch_negative");
-                    branch_negative.infer(&neg)
-                };
-                Tensor::concat_cols(&[&fp, &fn_])
-            }
-            None => {
-                let _span = mandipass_telemetry::span("branch_positive");
-                self.branch_positive.infer(input)
-            }
-        };
-        let (embedding, logits) = {
-            let _span = mandipass_telemetry::span("embedding_head");
-            let pre = self.head.infer(&features);
-            let embedding = self.head_act.infer(&pre);
-            let logits = self.classifier.infer(&embedding);
-            (embedding, logits)
-        };
+        if train {
+            self.cached_batch = Some(input.shape()[0]);
+        }
         (embedding, logits)
     }
 
@@ -366,13 +339,13 @@ impl BiometricExtractor {
         (loss, acc)
     }
 
-    /// Fast-path embeddings: consumes a flat `[N, 2, axes, half_n]` arena
+    /// Arena embeddings: consumes a flat `[N, 2, axes, half_n]` arena
     /// buffer and returns the `[N, embedding_dim]` embedding buffer (the
     /// caller releases it). Skips the classifier head — deployment never
-    /// reads the logits. Emits the same stage spans as
-    /// [`BiometricExtractor::infer_forward`] plus the kernel-level
-    /// `im2col`/`gemm`/`bias_act` spans from the convolution fast path.
-    fn infer_embeddings_fast(&self, input: Vec<f32>, n: usize, ctx: &mut InferCtx) -> Vec<f32> {
+    /// reads the logits. Emits the `cnn_forward` stage spans
+    /// (`branch_positive`, `branch_negative`, `embedding_head`, one per
+    /// layer) and the kernel-level `im2col`/`gemm`/`bias_act` spans.
+    fn infer_embeddings(&self, input: Vec<f32>, n: usize, ctx: &mut InferCtx) -> Vec<f32> {
         let _span = mandipass_telemetry::span("cnn_forward");
         let axes = self.config.axes;
         let half_n = self.config.half_n;
@@ -381,21 +354,16 @@ impl BiometricExtractor {
             Some(branch_negative) => {
                 let mut pos = ctx.acquire(n * plane);
                 let mut neg = ctx.acquire(n * plane);
-                for i in 0..n {
-                    let base = i * 2 * plane;
-                    pos[i * plane..(i + 1) * plane].copy_from_slice(&input[base..base + plane]);
-                    neg[i * plane..(i + 1) * plane]
-                        .copy_from_slice(&input[base + plane..base + 2 * plane]);
-                }
+                split_directions(&input, plane, &mut pos, &mut neg);
                 ctx.release(input);
                 let shape = Shape::d4(n, 1, axes, half_n);
                 let (fp, fp_shape) = {
                     let _span = mandipass_telemetry::span("branch_positive");
-                    self.branch_positive.infer_fast(pos, shape, ctx)
+                    self.branch_positive.infer(pos, shape, ctx)
                 };
                 let (fneg, fneg_shape) = {
                     let _span = mandipass_telemetry::span("branch_negative");
-                    branch_negative.infer_fast(neg, shape, ctx)
+                    branch_negative.infer(neg, shape, ctx)
                 };
                 let pc = fp_shape.dims()[1];
                 let nc = fneg_shape.dims()[1];
@@ -412,18 +380,18 @@ impl BiometricExtractor {
             None => {
                 let _span = mandipass_telemetry::span("branch_positive");
                 self.branch_positive
-                    .infer_fast(input, Shape::d4(n, 2, axes, half_n), ctx)
+                    .infer(input, Shape::d4(n, 2, axes, half_n), ctx)
             }
         };
         let _head_span = mandipass_telemetry::span("embedding_head");
-        let (pre, pre_shape) = self.head.infer_fast(features, fshape, ctx);
-        let (embedding, _) = self.head_act.infer_fast(pre, pre_shape, ctx);
+        let (pre, pre_shape) = self.head.infer(features, fshape, ctx);
+        let (embedding, _) = self.head_act.infer(pre, pre_shape, ctx);
         embedding
     }
 
     /// Extracts MandiblePrints from gradient arrays (evaluation mode —
     /// running batch-norm statistics, no caching) through the
-    /// zero-allocation fast path: pushes all `N` probes through one
+    /// zero-allocation arena path: pushes all `N` probes through one
     /// `[N, 2, axes, half_n]` forward using the calling thread's scratch
     /// arena, so retried verifications amortise the per-forward fixed
     /// costs. One probe is a batch of one. Bit-exact with
@@ -438,22 +406,14 @@ impl BiometricExtractor {
         if arrays.is_empty() {
             return Ok(Vec::new());
         }
-        let per = 2 * self.config.axes * self.config.half_n;
-        for a in arrays {
-            if a.axes() != self.config.axes || a.half_n() != self.config.half_n {
-                return Err(MandiPassError::DimensionMismatch {
-                    expected: per,
-                    got: 2 * a.axes() * a.half_n(),
-                });
-            }
-        }
+        let per = self.check_arrays(arrays)?;
         INFER_CTX.with(|cell| {
             let ctx = &mut *cell.borrow_mut();
             let mut input = ctx.acquire(arrays.len() * per);
             for (i, a) in arrays.iter().enumerate() {
                 a.write_f32_into(&mut input[i * per..(i + 1) * per]);
             }
-            let embeddings = self.infer_embeddings_fast(input, arrays.len(), ctx);
+            let embeddings = self.infer_embeddings(input, arrays.len(), ctx);
             let d = self.config.embedding_dim;
             let prints = (0..arrays.len())
                 .map(|i| MandiblePrint::new(embeddings[i * d..(i + 1) * d].to_vec()))
@@ -464,36 +424,33 @@ impl BiometricExtractor {
         })
     }
 
-    /// Reference extraction through the original tensor-per-layer path —
-    /// the parity oracle for the fast path (and the fallback nothing
-    /// optimised touches).
+    /// The parity oracle for [`BiometricExtractor::extract`]: the same
+    /// prints through [`BiometricExtractor::forward`] in evaluation mode.
+    /// Takes `&mut self` as `forward` does, but changes no state.
     ///
     /// # Errors
     ///
     /// Propagates shape mismatches from [`BiometricExtractor::batch_input`].
     pub fn extract_naive(
-        &self,
+        &mut self,
         arrays: &[&GradientArray],
     ) -> Result<Vec<MandiblePrint>, MandiPassError> {
         if arrays.is_empty() {
             return Ok(Vec::new());
         }
         let input = self.batch_input(arrays)?;
-        let (embeddings, _) = self.infer_forward(&input);
-        let d = self.config.embedding_dim;
-        Ok((0..arrays.len())
-            .map(|i| MandiblePrint::new(embeddings.data()[i * d..(i + 1) * d].to_vec()))
+        let (embeddings, _) = self.forward(&input, false);
+        Ok(embeddings
+            .data()
+            .chunks_exact(self.config.embedding_dim)
+            .map(|e| MandiblePrint::new(e.to_vec()))
             .collect())
     }
 
-    /// Pre-packs weights for the inference fast path (transposed linear
-    /// weights). Bit-exact — safe to call on every deployed extractor;
-    /// invalidated automatically when an optimiser touches the params.
+    /// Packs the embedding head's transposed weights now rather than in
+    /// the first [`BiometricExtractor::extract`] (which also repacks
+    /// after any mutable parameter access). Bit-exact either way.
     pub fn prepare_inference(&mut self) {
-        self.branch_positive.prepare_inference();
-        if let Some(branch_negative) = &mut self.branch_negative {
-            branch_negative.prepare_inference();
-        }
         self.head.prepare_inference();
     }
 
@@ -513,15 +470,7 @@ impl BiometricExtractor {
         if let Some(branch_negative) = &mut self.branch_negative {
             folded += branch_negative.fuse()?;
         }
-        self.prepare_inference();
         Ok(folded)
-    }
-
-    /// Classification accuracy of the training head on a labelled batch
-    /// (evaluation mode).
-    pub fn evaluate_accuracy(&self, input: &Tensor, labels: &[usize]) -> f64 {
-        let (_, logits) = self.infer_forward(input);
-        accuracy(&logits, labels)
     }
 }
 
@@ -535,9 +484,16 @@ impl Layer for BiometricExtractor {
         logits
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let (_, logits) = self.infer_forward(input);
-        logits
+    fn infer(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
+        let n = shape.dims()[0];
+        assert_eq!(
+            shape,
+            Shape::d4(n, 2, self.config.axes, self.config.half_n),
+            "extractor expects [N, 2, axes, half_n] input"
+        );
+        let embedding = self.infer_embeddings(input, n, ctx);
+        let shape = Shape::d2(n, self.config.embedding_dim);
+        self.classifier.infer(embedding, shape, ctx)
     }
 
     fn backward(&mut self, grad_output: &Tensor) -> Tensor {
@@ -781,6 +737,21 @@ mod tests {
         let stats = arena_stats();
         assert_eq!(stats.growth_events, 0, "steady-state extraction grew");
         assert!(stats.high_water_bytes > 0);
+    }
+
+    #[test]
+    fn layer_infer_logits_match_eval_forward() {
+        let mut ex = BiometricExtractor::new(ExtractorConfig::tiny(3)).unwrap();
+        let (a, b) = (toy_gradient_array(0.6), toy_gradient_array(1.7));
+        let input = ex.batch_input(&[&a, &b]).unwrap();
+        let shape = Shape::from_dims(input.shape());
+        let mut ctx = InferCtx::new();
+        let (fast, shape) = Layer::infer(&ex, input.data().to_vec(), shape, &mut ctx);
+        let (_, logits) = ex.forward(&input, false);
+        assert_eq!(shape.dims(), logits.shape());
+        for (x, y) in fast.iter().zip(logits.data()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "arena logits diverged");
+        }
     }
 
     #[test]

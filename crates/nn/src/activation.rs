@@ -1,7 +1,7 @@
 //! Activation layers: ReLU and Sigmoid.
 
 use crate::infer::{InferCtx, Shape};
-use crate::layer::{Layer, Param};
+use crate::layer::{infer_tensor, Layer, Param};
 use crate::tensor::Tensor;
 
 /// Rectified linear unit: `y = max(0, x)` elementwise.
@@ -33,26 +33,10 @@ impl Layer for ReLU {
         if train {
             self.mask = Some(input.data().iter().map(|&v| v > 0.0).collect());
         }
-        self.infer(input)
+        infer_tensor(self, input)
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        for v in out.data_mut() {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
-        }
-        out
-    }
-
-    fn infer_fast(
-        &self,
-        mut input: Vec<f32>,
-        shape: Shape,
-        ctx: &mut InferCtx,
-    ) -> (Vec<f32>, Shape) {
-        let _ = ctx;
+    fn infer(&self, mut input: Vec<f32>, shape: Shape, _: &mut InferCtx) -> (Vec<f32>, Shape) {
         for v in &mut input {
             if *v < 0.0 {
                 *v = 0.0;
@@ -113,28 +97,14 @@ impl Layer for Sigmoid {
     }
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
+        let out = infer_tensor(self, input);
         if train {
             self.cached_output = Some(out.clone());
         }
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut out = input.clone();
-        for v in out.data_mut() {
-            *v = 1.0 / (1.0 + (-*v).exp());
-        }
-        out
-    }
-
-    fn infer_fast(
-        &self,
-        mut input: Vec<f32>,
-        shape: Shape,
-        ctx: &mut InferCtx,
-    ) -> (Vec<f32>, Shape) {
-        let _ = ctx;
+    fn infer(&self, mut input: Vec<f32>, shape: Shape, _: &mut InferCtx) -> (Vec<f32>, Shape) {
         for v in &mut input {
             *v = 1.0 / (1.0 + (-*v).exp());
         }

@@ -6,7 +6,7 @@
 //! uses the running statistics, so single probes verify deterministically.
 
 use crate::infer::{InferCtx, Shape};
-use crate::layer::{Layer, Param};
+use crate::layer::{infer_tensor, Layer, Param};
 use crate::tensor::Tensor;
 
 /// Batch normalisation for `[N, C, H, W]` activations, per channel.
@@ -66,11 +66,11 @@ impl BatchNorm2d {
         self.running_var.data()
     }
 
-    fn check_input(&self, input: &Tensor) -> (usize, usize) {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "batchnorm2d expects [N, C, H, W] input");
-        assert_eq!(s[1], self.channels, "channel count mismatch");
-        (s[0], s[2] * s[3])
+    /// `(N, H·W)` of an `[N, C, H, W]` input.
+    fn check_input(&self, dims: &[usize]) -> (usize, usize) {
+        assert_eq!(dims.len(), 4, "batchnorm2d expects [N, C, H, W] input");
+        assert_eq!(dims[1], self.channels, "channel count mismatch");
+        (dims[0], dims[2] * dims[3])
     }
 }
 
@@ -85,9 +85,9 @@ impl Layer for BatchNorm2d {
 
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
         if !train {
-            return self.infer(input);
+            return infer_tensor(self, input);
         }
-        let (n, plane) = self.check_input(input);
+        let (n, plane) = self.check_input(input.shape());
         let x = input.data();
         let mut out = input.clone();
         let count = (n * plane) as f32;
@@ -150,44 +150,12 @@ impl Layer for BatchNorm2d {
         out
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let (n, plane) = self.check_input(input);
-        let x = input.data();
-        let mut out = input.clone();
+    fn infer(&self, mut input: Vec<f32>, shape: Shape, _: &mut InferCtx) -> (Vec<f32>, Shape) {
+        let (n, plane) = self.check_input(shape.dims());
         let mean = self.running_mean.data();
         let var = self.running_var.data();
         let gamma = self.gamma.data();
         let beta = self.beta.data();
-        let y = out.data_mut();
-        for img in 0..n {
-            for c in 0..self.channels {
-                let base = (img * self.channels + c) * plane;
-                let inv_std = 1.0 / (var[c] + self.eps).sqrt();
-                for i in 0..plane {
-                    y[base + i] = gamma[c] * ((x[base + i] - mean[c]) * inv_std) + beta[c];
-                }
-            }
-        }
-        out
-    }
-
-    fn infer_fast(
-        &self,
-        mut input: Vec<f32>,
-        shape: Shape,
-        ctx: &mut InferCtx,
-    ) -> (Vec<f32>, Shape) {
-        let _ = ctx;
-        let dims = shape.dims();
-        assert_eq!(dims.len(), 4, "batchnorm2d expects [N, C, H, W] input");
-        assert_eq!(dims[1], self.channels, "channel count mismatch");
-        let (n, plane) = (dims[0], dims[2] * dims[3]);
-        let mean = self.running_mean.data();
-        let var = self.running_var.data();
-        let gamma = self.gamma.data();
-        let beta = self.beta.data();
-        // In place, with the exact expression `infer` uses so the two
-        // paths agree bit for bit.
         for img in 0..n {
             for c in 0..self.channels {
                 let base = (img * self.channels + c) * plane;

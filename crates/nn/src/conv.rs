@@ -89,11 +89,11 @@ impl Conv2d {
         self.out_channels
     }
 
-    fn check_input(&self, input: &Tensor) -> (usize, usize, usize) {
-        let s = input.shape();
-        assert_eq!(s.len(), 4, "conv2d expects [N, C, H, W] input");
-        assert_eq!(s[1], self.in_channels, "input channel mismatch");
-        (s[0], s[2], s[3])
+    /// `(N, H, W)` of an `[N, in_channels, H, W]` input.
+    fn check_input(&self, dims: &[usize]) -> (usize, usize, usize) {
+        assert_eq!(dims.len(), 4, "conv2d expects [N, C, H, W] input");
+        assert_eq!(dims[1], self.in_channels, "input channel mismatch");
+        (dims[0], dims[2], dims[3])
     }
 }
 
@@ -172,16 +172,10 @@ impl Layer for Conv2d {
         "conv2d"
     }
 
+    /// The naive loop nest: the training kernel, and in evaluation mode
+    /// the parity oracle of the im2col + GEMM [`Layer::infer`].
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let (n, h, w) = self.check_input(input);
+        let (n, h, w) = self.check_input(input.shape());
         let (kh, kw) = self.kernel;
         let (sh, sw) = self.stride;
         let (ph, pw) = self.padding;
@@ -227,14 +221,14 @@ impl Layer for Conv2d {
                 }
             }
         }
+        if train {
+            self.cached_input = Some(input.clone());
+        }
         out
     }
 
-    fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
-        let dims = shape.dims();
-        assert_eq!(dims.len(), 4, "conv2d expects [N, C, H, W] input");
-        assert_eq!(dims[1], self.in_channels, "input channel mismatch");
-        let (n, h, w) = (dims[0], dims[2], dims[3]);
+    fn infer(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
+        let (n, h, w) = self.check_input(shape.dims());
         let (oh, ow) = self.output_size(h, w);
         let out_plane = oh * ow;
         let k = self.in_channels * self.kernel.0 * self.kernel.1;
@@ -301,7 +295,7 @@ impl Layer for Conv2d {
             .cached_input
             .take()
             .expect("backward requires a preceding training-mode forward");
-        let (n, h, w) = self.check_input(&input);
+        let (n, h, w) = self.check_input(input.shape());
         let (kh, kw) = self.kernel;
         let (sh, sw) = self.stride;
         let (ph, pw) = self.padding;
@@ -511,13 +505,11 @@ mod tests {
     }
 
     #[test]
-    fn infer_never_caches_and_eval_forward_never_clones() {
+    fn eval_forward_never_clones_into_the_cache() {
         // Regression: eval-shaped calls must not pay the training-cache
         // clone of the input.
         let mut conv = Conv2d::new(1, 2, (3, 3), (1, 2), (1, 1), 3);
         let x = Tensor::from_vec(vec![1, 1, 4, 6], (0..24).map(|i| i as f32).collect()).unwrap();
-        let _ = conv.infer(&x);
-        assert!(!conv.training_cache_active(), "infer cached its input");
         let _ = conv.forward(&x, false);
         assert!(
             !conv.training_cache_active(),
@@ -531,28 +523,6 @@ mod tests {
     }
 
     #[test]
-    fn fast_path_is_bit_exact_on_paper_geometry() {
-        let conv = Conv2d::new(8, 16, (3, 3), (1, 2), (1, 1), 21);
-        let x = Tensor::from_vec(
-            vec![2, 8, 6, 15],
-            (0..2 * 8 * 6 * 15)
-                .map(|i| ((i as f32) * 0.731).sin())
-                .collect(),
-        )
-        .unwrap();
-        let reference = conv.infer(&x);
-        let mut ctx = InferCtx::new();
-        let buf = {
-            let mut b = ctx.acquire(x.len());
-            b.copy_from_slice(x.data());
-            b
-        };
-        let (fast, shape) = conv.infer_fast(buf, Shape::from_dims(x.shape()), &mut ctx);
-        assert_eq!(shape.dims(), reference.shape());
-        assert_eq!(&fast[..], reference.data());
-    }
-
-    #[test]
     fn absorb_affine_rejects_channel_mismatch() {
         let mut conv = Conv2d::new(1, 2, (1, 1), (1, 1), (0, 0), 0);
         assert!(!conv.absorb_affine(&[1.0; 3], &[0.0; 3]));
@@ -563,6 +533,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::layer::infer_tensor;
     use mandipass_util::proptest::prelude::*;
 
     proptest! {
@@ -585,19 +556,16 @@ mod proptests {
             pw in 0usize..3,
             seed in 0u64..64,
         ) {
-            let conv = Conv2d::new(in_c, out_c, (kh, kw), (sh, sw), (ph, pw), seed);
+            let mut conv = Conv2d::new(in_c, out_c, (kh, kw), (sh, sw), (ph, pw), seed);
             let len = n * in_c * h * w;
             let x = Tensor::from_vec(
                 vec![n, in_c, h, w],
                 (0..len).map(|i| ((i as f32) + seed as f32).sin() * 2.0 - 0.5).collect(),
             ).unwrap();
-            let reference = conv.infer(&x);
-            let mut ctx = InferCtx::new();
-            let mut buf = ctx.acquire(len);
-            buf.copy_from_slice(x.data());
-            let (fast, shape) = conv.infer_fast(buf, Shape::from_dims(x.shape()), &mut ctx);
-            prop_assert_eq!(shape.dims(), reference.shape());
-            prop_assert_eq!(&fast[..], reference.data());
+            let fast = infer_tensor(&conv, &x);
+            let reference = conv.forward(&x, false);
+            prop_assert_eq!(fast.shape(), reference.shape());
+            prop_assert_eq!(fast.data(), reference.data());
         }
     }
 }

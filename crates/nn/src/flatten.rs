@@ -1,10 +1,10 @@
 //! Flattening of 4-D activations into 2-D feature matrices.
 
 use crate::infer::{InferCtx, Shape};
-use crate::layer::{Layer, Param};
+use crate::layer::{infer_tensor, Layer, Param};
 use crate::tensor::Tensor;
 
-/// Flattens `[N, C, H, W]` (or any rank ≥ 2) into `[N, C·H·W]`.
+/// Flattens `[N, C, H, W]` (or any rank from 2 to 4) into `[N, C·H·W]`.
 ///
 /// The paper flattens each convolutional branch's output before
 /// concatenating the two branches into one feature vector.
@@ -33,22 +33,10 @@ impl Layer for Flatten {
         if train {
             self.cached_shape = Some(input.shape().to_vec());
         }
-        self.infer(input)
+        infer_tensor(self, input)
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let shape = input.shape();
-        assert!(shape.len() >= 2, "flatten expects rank >= 2 input");
-        let n = shape[0];
-        let features: usize = shape[1..].iter().product();
-        input
-            .clone()
-            .reshape(vec![n, features])
-            .expect("flatten preserves element count")
-    }
-
-    fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
-        let _ = ctx;
+    fn infer(&self, input: Vec<f32>, shape: Shape, _: &mut InferCtx) -> (Vec<f32>, Shape) {
         let dims = shape.dims();
         assert!(dims.len() >= 2, "flatten expects rank >= 2 input");
         let features: usize = dims[1..].iter().product();

@@ -70,8 +70,8 @@ impl Shape {
         self.len() == 0
     }
 
-    /// The dimensions as an owned `Vec` (for bridging into [`Tensor`]
-    /// fallback paths; allocates, so not for the hot loop).
+    /// The dimensions as an owned `Vec` (for wrapping an arena result in
+    /// a [`Tensor`]; allocates, so not for the hot loop).
     ///
     /// [`Tensor`]: crate::tensor::Tensor
     pub fn to_vec(&self) -> Vec<usize> {

@@ -25,7 +25,8 @@ pub struct Param<'a> {
 /// Layers are `Send + Sync`: the deployed inference path
 /// ([`Layer::infer`]) takes `&self` and a trained model is shared
 /// read-only across verify-server worker threads, so every layer must be
-/// plain data (no `Rc`/`RefCell`-style interior mutability).
+/// thread-safe (no `Rc`/`RefCell`; derived inference data such as
+/// `Linear`'s packed weights lives in a `OnceLock`).
 pub trait Layer: std::fmt::Debug + Send + Sync {
     /// A short stable kind label (e.g. `"conv2d"`), used as the
     /// telemetry span name for per-layer inference timing.
@@ -35,14 +36,19 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
 
     /// Computes the layer output. `train` selects training behaviour
     /// (e.g. batch statistics in batch norm) and enables caching for the
-    /// backward pass.
+    /// backward pass. `forward(input, false)` is the evaluation-mode
+    /// reference that [`Layer::infer`] matches bit for bit; for
+    /// convolution and linear layers its naive loop nest is the parity
+    /// oracle of the GEMM kernels.
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor;
 
-    /// Computes the layer output in evaluation mode without touching any
-    /// mutable state: no backward cache, no running-statistic updates.
-    /// Equals `forward(input, false)` for every layer; this is the
-    /// deployed verification path, where the trained model is shared.
-    fn infer(&self, input: &Tensor) -> Tensor;
+    /// Evaluation-mode forward on the scratch arena — the one eval path,
+    /// deployed for verification. Consumes a ctx-owned input buffer of
+    /// `shape` and returns a ctx-owned output buffer (possibly the input
+    /// itself, for in-place layers) with its shape. Touches no training
+    /// state (no backward cache, no running-statistic updates) and
+    /// allocates nothing once `ctx` is warm.
+    fn infer(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape);
 
     /// Backpropagates `grad_output` (gradient of the loss with respect to
     /// this layer's output), accumulating parameter gradients and returning
@@ -83,30 +89,6 @@ pub trait Layer: std::fmt::Debug + Send + Sync {
     /// several consumers without retraining.
     fn clone_box(&self) -> Box<dyn Layer>;
 
-    /// Evaluation-mode forward on the scratch arena: consumes a
-    /// ctx-owned input buffer and returns a ctx-owned output buffer
-    /// (possibly the input itself, for in-place layers). Semantically
-    /// identical to [`Layer::infer`]; the hot-path layers override this
-    /// with kernels that allocate nothing once `ctx` is warm. The
-    /// default bridges through `infer` so exotic layers stay correct
-    /// (at Tensor-path cost) and feed their buffers into the pool.
-    fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
-        let tensor =
-            Tensor::from_vec(shape.to_vec(), input).expect("arena buffer matches its shape");
-        let out = self.infer(&tensor);
-        ctx.release(tensor.into_data());
-        let out_shape = Shape::from_dims(out.shape());
-        (out.into_data(), out_shape)
-    }
-
-    /// One-time deployment hook: precomputes derived inference-only
-    /// data (e.g. a transposed weight copy for the GEMM kernel). Safe to
-    /// call repeatedly; layers invalidate the derived data whenever
-    /// their parameters are exposed mutably ([`Layer::params`] /
-    /// [`Layer::state_params`]), so call this again after any training
-    /// step or parameter load.
-    fn prepare_inference(&mut self) {}
-
     /// Per-channel `(scale, shift)` of an evaluation-mode affine layer
     /// (batch norm running statistics) that a preceding convolution can
     /// absorb: `y[c] = scale[c] · x[c] + shift[c]`. `None` for layers
@@ -137,4 +119,14 @@ impl Clone for Box<dyn Layer> {
     fn clone(&self) -> Self {
         self.clone_box()
     }
+}
+
+/// Runs [`Layer::infer`] on a copy of `input` through a throwaway arena.
+/// Layers without a separate training kernel (activations, eval-mode
+/// batch norm, flatten) run `forward` through here, so their formula is
+/// written once, in `infer`.
+pub(crate) fn infer_tensor(layer: &dyn Layer, input: &Tensor) -> Tensor {
+    let shape = Shape::from_dims(input.shape());
+    let (out, shape) = layer.infer(input.data().to_vec(), shape, &mut InferCtx::new());
+    Tensor::from_vec(shape.to_vec(), out).expect("infer output matches its shape")
 }

@@ -1,5 +1,7 @@
 //! Fully connected (dense) layer.
 
+use std::sync::OnceLock;
+
 use mandipass_util::rand::rngs::StdRng;
 use mandipass_util::rand::SeedableRng;
 
@@ -21,11 +23,11 @@ pub struct Linear {
     grad_weight: Tensor,
     grad_bias: Tensor,
     cached_input: Option<Tensor>,
-    // Deployment-only transposed weight copy `[in, out]` built by
-    // `prepare_inference`, letting the fast path run as a k-outer GEMM
-    // (contiguous, autovectorized) instead of latency-bound scalar dot
-    // products. Invalidated whenever the weights are exposed mutably.
-    packed_t: Option<Vec<f32>>,
+    // Inference-only transposed weight copy `[in, out]`, letting `infer`
+    // run as a k-outer GEMM (contiguous, autovectorized) instead of
+    // latency-bound scalar dot products. Built on the first `infer`
+    // after the weights were last exposed mutably.
+    packed_t: OnceLock<Vec<f32>>,
 }
 
 impl Linear {
@@ -46,7 +48,7 @@ impl Linear {
             grad_weight: Tensor::zeros(vec![out_features, in_features]),
             grad_bias: Tensor::zeros(vec![out_features]),
             cached_input: None,
-            packed_t: None,
+            packed_t: OnceLock::new(),
         }
     }
 
@@ -64,6 +66,25 @@ impl Linear {
     pub fn weight(&self) -> &Tensor {
         &self.weight
     }
+
+    /// Builds the packed weight transpose now instead of on the first
+    /// [`Layer::infer`] — a deployment warm-up, bit-exact either way.
+    pub fn prepare_inference(&self) {
+        self.packed_t();
+    }
+
+    fn packed_t(&self) -> &[f32] {
+        self.packed_t.get_or_init(|| {
+            let w = self.weight.data();
+            let mut packed = vec![0.0f32; w.len()];
+            for o in 0..self.out_features {
+                for k in 0..self.in_features {
+                    packed[k * self.out_features + o] = w[o * self.in_features + k];
+                }
+            }
+            packed
+        })
+    }
 }
 
 impl Layer for Linear {
@@ -75,15 +96,10 @@ impl Layer for Linear {
         "linear"
     }
 
+    /// The naive dot-product loop: the training kernel, and in
+    /// evaluation mode the parity oracle of the packed-GEMM
+    /// [`Layer::infer`].
     fn forward(&mut self, input: &Tensor, train: bool) -> Tensor {
-        let out = self.infer(input);
-        if train {
-            self.cached_input = Some(input.clone());
-        }
-        out
-    }
-
-    fn infer(&self, input: &Tensor) -> Tensor {
         assert_eq!(input.shape().len(), 2, "linear expects [N, in] input");
         assert_eq!(input.shape()[1], self.in_features, "input feature mismatch");
         let n = input.shape()[0];
@@ -104,60 +120,33 @@ impl Layer for Linear {
                 yi[o] = acc;
             }
         }
+        if train {
+            self.cached_input = Some(input.clone());
+        }
         out
     }
 
-    fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
+    fn infer(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
         let dims = shape.dims();
         assert_eq!(dims.len(), 2, "linear expects [N, in] input");
         assert_eq!(dims[1], self.in_features, "input feature mismatch");
         let n = dims[0];
+        let wt = self.packed_t();
         let mut out = ctx.acquire(n * self.out_features);
-        let b = self.bias.data();
-        match &self.packed_t {
-            Some(wt) => {
-                {
-                    let _span = mandipass_telemetry::span("bias_act");
-                    for row in out.chunks_exact_mut(self.out_features) {
-                        row.copy_from_slice(b);
-                    }
-                }
-                // Same per-output accumulation order as the scalar dot
-                // (bias first, k ascending) — bit-exact against `infer`.
-                let _span = mandipass_telemetry::span("gemm");
-                gemm_acc(n, self.in_features, self.out_features, &input, wt, &mut out);
+        {
+            let _span = mandipass_telemetry::span("bias_act");
+            for row in out.chunks_exact_mut(self.out_features) {
+                row.copy_from_slice(self.bias.data());
             }
-            None => {
-                // No packed copy (training just touched the weights):
-                // replicate the naive loop into the arena buffer.
-                let w = self.weight.data();
-                for i in 0..n {
-                    let xi = &input[i * self.in_features..(i + 1) * self.in_features];
-                    let yi = &mut out[i * self.out_features..(i + 1) * self.out_features];
-                    for (o, yv) in yi.iter_mut().enumerate() {
-                        let wo = &w[o * self.in_features..(o + 1) * self.in_features];
-                        let mut acc = b[o];
-                        for (xv, wv) in xi.iter().zip(wo) {
-                            acc += xv * wv;
-                        }
-                        *yv = acc;
-                    }
-                }
-            }
+        }
+        {
+            // Same per-output accumulation order as the dot in `forward`
+            // (bias first, k ascending) — bit-exact against it.
+            let _span = mandipass_telemetry::span("gemm");
+            gemm_acc(n, self.in_features, self.out_features, &input, wt, &mut out);
         }
         ctx.release(input);
         (out, Shape::d2(n, self.out_features))
-    }
-
-    fn prepare_inference(&mut self) {
-        let w = self.weight.data();
-        let mut packed = vec![0.0f32; w.len()];
-        for o in 0..self.out_features {
-            for k in 0..self.in_features {
-                packed[k * self.out_features + o] = w[o * self.in_features + k];
-            }
-        }
-        self.packed_t = Some(packed);
     }
 
     fn training_cache_active(&self) -> bool {
@@ -211,11 +200,10 @@ impl Layer for Linear {
     }
 
     fn params(&mut self) -> Vec<Param<'_>> {
-        // Mutable parameter access (optimiser step, parameter load)
-        // invalidates the inference-only packed transpose; the fast
-        // path falls back to the scalar kernel until the next
-        // `prepare_inference`.
-        self.packed_t = None;
+        // The caller may rewrite the weights (optimiser step, parameter
+        // load): drop the packed transpose so the next `infer` rebuilds
+        // it from whatever they hold then.
+        self.packed_t.take();
         vec![
             Param {
                 value: &mut self.weight,
@@ -234,6 +222,7 @@ impl Layer for Linear {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::infer_tensor;
     use crate::loss::cross_entropy;
 
     #[test]
@@ -333,40 +322,27 @@ mod tests {
     }
 
     #[test]
-    fn packed_fast_path_is_bit_exact() {
+    fn infer_after_params_access_repacks_and_matches_forward() {
+        // Read-only callers (`param_count`, `save_params`,
+        // `serialized_size`) reach the weights through `&mut params()`
+        // too; the next eval must rebuild the packed copy from the
+        // current weights, never fall back to a slower kernel.
         let mut layer = Linear::new(48, 17, 5);
         layer.prepare_inference();
+        let _ = layer.param_count();
+        layer.params()[0].value.data_mut()[0] += 1.0;
+        assert!(layer.packed_t.get().is_none(), "stale packed weights kept");
         let x = Tensor::from_vec(
             vec![3, 48],
             (0..3 * 48).map(|i| ((i as f32) * 0.17).cos()).collect(),
         )
         .unwrap();
-        let reference = layer.infer(&x);
-        let mut ctx = InferCtx::new();
-        let mut buf = ctx.acquire(x.len());
-        buf.copy_from_slice(x.data());
-        let (fast, shape) = layer.infer_fast(buf, Shape::d2(3, 48), &mut ctx);
-        assert_eq!(shape.dims(), reference.shape());
-        assert_eq!(&fast[..], reference.data());
-    }
-
-    #[test]
-    fn params_access_invalidates_packed_weights() {
-        let mut layer = Linear::new(4, 2, 0);
-        layer.prepare_inference();
-        assert!(layer.packed_t.is_some());
-        let _ = layer.params();
-        assert!(
-            layer.packed_t.is_none(),
-            "stale packed weights would desync from trained weights"
-        );
-        // The unpacked fallback still matches the reference path.
-        let x = Tensor::from_vec(vec![1, 4], vec![0.1, -0.2, 0.3, -0.4]).unwrap();
-        let reference = layer.infer(&x);
-        let mut ctx = InferCtx::new();
-        let mut buf = ctx.acquire(4);
-        buf.copy_from_slice(x.data());
-        let (fast, _) = layer.infer_fast(buf, Shape::d2(1, 4), &mut ctx);
-        assert_eq!(&fast[..], reference.data());
+        let fast = infer_tensor(&layer, &x);
+        assert!(layer.packed_t.get().is_some(), "infer ran unpacked");
+        let oracle = layer.forward(&x, false);
+        assert_eq!(fast.shape(), oracle.shape());
+        for (a, b) in fast.data().iter().zip(oracle.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "packed infer diverged");
+        }
     }
 }

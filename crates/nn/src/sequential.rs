@@ -87,28 +87,13 @@ impl Layer for Sequential {
         cur
     }
 
-    fn infer(&self, input: &Tensor) -> Tensor {
-        let mut cur = input.clone();
-        for layer in &self.layers {
-            let _span = mandipass_telemetry::span(layer.name());
-            cur = layer.infer(&cur);
-        }
-        cur
-    }
-
-    fn infer_fast(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
+    fn infer(&self, input: Vec<f32>, shape: Shape, ctx: &mut InferCtx) -> (Vec<f32>, Shape) {
         let mut cur = (input, shape);
         for layer in &self.layers {
             let _span = mandipass_telemetry::span(layer.name());
-            cur = layer.infer_fast(cur.0, cur.1, ctx);
+            cur = layer.infer(cur.0, cur.1, ctx);
         }
         cur
-    }
-
-    fn prepare_inference(&mut self) {
-        for layer in &mut self.layers {
-            layer.prepare_inference();
-        }
     }
 
     fn training_cache_active(&self) -> bool {
@@ -150,6 +135,7 @@ impl Layer for Sequential {
 mod tests {
     use super::*;
     use crate::activation::ReLU;
+    use crate::layer::infer_tensor;
     use crate::linear::Linear;
     use crate::loss::cross_entropy;
     use crate::optim::{Adam, Optimizer};
@@ -210,9 +196,13 @@ mod tests {
         assert_eq!(net.len(), 2);
     }
 
+    /// One layer of every kind: conv → BN → ReLU twice, then
+    /// flatten → linear (packed lazily on first `infer`) → sigmoid.
     fn conv_bn_stack() -> (Sequential, Tensor) {
+        use crate::activation::Sigmoid;
         use crate::batchnorm::BatchNorm2d;
         use crate::conv::Conv2d;
+        use crate::flatten::Flatten;
         let mut net = Sequential::new(vec![
             Box::new(Conv2d::new(1, 3, (3, 3), (1, 2), (1, 1), 40)),
             Box::new(BatchNorm2d::new(3)),
@@ -220,6 +210,9 @@ mod tests {
             Box::new(Conv2d::new(3, 2, (3, 3), (1, 1), (1, 1), 41)),
             Box::new(BatchNorm2d::new(2)),
             Box::new(ReLU::new()),
+            Box::new(Flatten::new()),
+            Box::new(Linear::new(2 * 4 * 5, 6, 42)),
+            Box::new(Sigmoid::new()),
         ]);
         let x = Tensor::from_vec(
             vec![2, 1, 4, 10],
@@ -236,14 +229,21 @@ mod tests {
         (net, x)
     }
 
+    fn assert_bitwise(a: &Tensor, b: &Tensor, what: &str) {
+        assert_eq!(a.shape(), b.shape(), "{what}: shape");
+        for (i, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: element {i}");
+        }
+    }
+
     #[test]
     fn fuse_matches_unfused_within_tolerance() {
         let (mut net, x) = conv_bn_stack();
-        let reference = net.infer(&x);
+        let reference = infer_tensor(&net, &x);
         let folded = net.fuse().expect("no pending training cache");
         assert_eq!(folded, 2, "both batch norms fold into their convs");
-        assert_eq!(net.len(), 4);
-        let fused = net.infer(&x);
+        assert_eq!(net.len(), 7);
+        let fused = infer_tensor(&net, &x);
         assert_eq!(fused.shape(), reference.shape());
         for (a, b) in fused.data().iter().zip(reference.data()) {
             assert!((a - b).abs() < 1e-6, "fused {a} vs unfused {b}");
@@ -254,10 +254,10 @@ mod tests {
     fn fuse_is_idempotent() {
         let (mut net, x) = conv_bn_stack();
         net.fuse().expect("first fuse succeeds");
-        let before = net.infer(&x);
+        let before = infer_tensor(&net, &x);
         let folded_again = net.fuse().expect("second fuse succeeds");
         assert_eq!(folded_again, 0, "nothing left to fold");
-        assert_eq!(net.infer(&x), before);
+        assert_eq!(infer_tensor(&net, &x), before);
     }
 
     #[test]
@@ -269,13 +269,16 @@ mod tests {
 
     #[test]
     fn fast_path_traverses_all_layers() {
-        let (net, x) = conv_bn_stack();
-        let reference = net.infer(&x);
-        let mut ctx = crate::infer::InferCtx::new();
-        let mut buf = ctx.acquire(x.len());
-        buf.copy_from_slice(x.data());
-        let (fast, shape) = net.infer_fast(buf, Shape::from_dims(x.shape()), &mut ctx);
-        assert_eq!(shape.dims(), reference.shape());
-        assert_eq!(&fast[..], reference.data());
+        // Every layer kind's arena `infer` against its `forward(x, false)`
+        // oracle, layer by layer, then the whole stack at once.
+        let (mut net, x) = conv_bn_stack();
+        let mut cur = x.clone();
+        for layer in &mut net.layers {
+            let fast = infer_tensor(layer.as_ref(), &cur);
+            cur = layer.forward(&cur, false);
+            assert_bitwise(&fast, &cur, layer.name());
+        }
+        let fast = infer_tensor(&net, &x);
+        assert_bitwise(&fast, &net.forward(&x, false), "sequential");
     }
 }

@@ -50,8 +50,7 @@ fn paper_branch() -> Sequential {
 #[test]
 fn warm_arena_forward_allocates_nothing() {
     let branch = paper_branch();
-    let mut head = Linear::new(32 * 6 * 4, 64, 9);
-    head.prepare_inference();
+    let head = Linear::new(32 * 6 * 4, 64, 9);
     let act = Sigmoid::new();
 
     let input: Vec<f32> = (0..6 * 30).map(|i| ((i as f32) * 0.37).sin()).collect();
@@ -59,15 +58,16 @@ fn warm_arena_forward_allocates_nothing() {
     let run = |ctx: &mut InferCtx| {
         let mut buf = ctx.acquire(input.len());
         buf.copy_from_slice(&input);
-        let (feat, fshape) = branch.infer_fast(buf, Shape::d4(1, 1, 6, 30), ctx);
-        let (pre, pshape) = head.infer_fast(feat, fshape, ctx);
-        let (emb, _) = act.infer_fast(pre, pshape, ctx);
+        let (feat, fshape) = branch.infer(buf, Shape::d4(1, 1, 6, 30), ctx);
+        let (pre, pshape) = head.infer(feat, fshape, ctx);
+        let (emb, _) = act.infer(pre, pshape, ctx);
         let sum: f32 = emb.iter().sum();
         ctx.release(emb);
         sum
     };
 
-    // Warm-up: the pool grows to the network's working set.
+    // Warm-up: the pool grows to the network's working set and the
+    // head packs its weights.
     let warm = run(&mut ctx);
     let _ = run(&mut ctx);
     ctx.reset_growth();

@@ -70,7 +70,7 @@ pub struct VerifyFlight {
 
 impl VerifyFlight {
     /// A record with everything but the identity fields defaulted;
-    /// producers fill what they know, [`FlightRecorder::record`] assigns
+    /// producers fill what they know, [`FlightRecorder::record_at`] assigns
     /// `seq` and `timestamp`.
     pub fn new(user_id: u32, outcome: FlightOutcome) -> Self {
         VerifyFlight {

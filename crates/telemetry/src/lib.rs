@@ -6,11 +6,11 @@
 //! provides that without any external dependency, mirroring the
 //! workspace's hermetic-build policy (DESIGN.md §6):
 //!
-//! * [`span`] / [`SpanGuard`] — structured spans with nested scopes and
+//! * [`span()`] / [`SpanGuard`] — structured spans with nested scopes and
 //!   monotonic timing. Opening a span pushes onto a thread-local stack;
 //!   the RAII guard closes it on drop (including during unwinding), so
 //!   instrumented code never leaks scope state.
-//! * [`metrics`] — a global registry of atomic counters, gauges, and
+//! * [`metrics`](mod@metrics) — a global registry of atomic counters, gauges, and
 //!   fixed-bucket histograms with quantile readout. The [`counter!`],
 //!   [`gauge!`] and [`histogram!`] macros cache their handle in a
 //!   call-site `static`, so a hot-path increment is one atomic add.
@@ -40,7 +40,7 @@
 //!   to the innermost span path behind `MANDIPASS_PROFILE_ALLOC`.
 //!   Folded-stack and JSON exports serve at `/profile/cpu` and
 //!   `/profile/alloc` on the monitor server.
-//! * [`monitor`] + [`window`] / [`drift`] / [`flight`] / [`expose`] —
+//! * [`monitor`](mod@monitor) + [`window`] / [`drift`] / [`flight`] / [`expose`] —
 //!   the live-monitoring layer: sliding-window counters and histograms,
 //!   score-drift detection (PSI/KS against a frozen enrolment-time
 //!   baseline) folded into a typed [`HealthStatus`], a bounded flight

@@ -158,7 +158,7 @@ impl Monitor {
         self.lock().breaker = state;
     }
 
-    /// Records one circuit-breaker transition: a [`FlightOutcome::Breaker`]
+    /// Records one circuit-breaker transition: a [`FlightOutcome::Breaker`](crate::flight::FlightOutcome::Breaker)
     /// flight (detail carries `from`/`to`/`reason`) plus the published
     /// state document. Transitions survive in the flight ring like any
     /// other incident-relevant event.

@@ -15,7 +15,7 @@
 //! There are no signals, no syscalls, and no timers here: the profiler
 //! is exact (every span close is counted, nothing is sampled) and the
 //! only cost when disabled is the relaxed atomic load folded into
-//! [`crate::span`]'s existing early-out.
+//! [`crate::span()`]'s existing early-out.
 //!
 //! Worker threads label their subtree with [`set_thread_root`]; the
 //! serve worker pool uses this so per-worker profiles merge under

@@ -1,6 +1,6 @@
 //! Sliding-window aggregation over a fixed ring of time slots.
 //!
-//! The cumulative metrics in [`crate::metrics`] answer "what has this
+//! The cumulative metrics in [`crate::metrics`](mod@crate::metrics) answer "what has this
 //! process done since it started"; live health monitoring needs "what is
 //! happening *right now*". [`WindowedCounter`] and [`WindowedHistogram`]
 //! divide the last `window` of time into a fixed number of slots, each

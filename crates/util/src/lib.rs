@@ -10,8 +10,8 @@
 //! | [`rand_distr`]| `rand_distr`            | `Normal` (Box–Muller), `Uniform`, `Distribution` |
 //! | [`json`]      | `serde_json`            | JSON value, writer, parser |
 //! | [`bytebuf`]   | `bytes`                 | little-endian `ByteWriter` / `ByteReader` |
-//! | [`bench`]     | `criterion`             | `Criterion`, `criterion_group!`, `criterion_main!` |
-//! | [`proptest`]  | `proptest`              | deterministic `proptest!` macro and strategies |
+//! | [`mod@bench`] | `criterion`             | `Criterion`, `criterion_group!`, `criterion_main!` |
+//! | [`mod@proptest`] | `proptest`              | deterministic `proptest!` macro and strategies |
 //!
 //! The `rand`/`rand_distr` modules keep the upstream call-site spelling
 //! (`StdRng::seed_from_u64`, `rng.gen_range(..)`, `Normal::new(..)`) so

@@ -1,7 +1,7 @@
 //! A deterministic property-testing harness.
 //!
 //! Replaces the `proptest` dev-dependency with the subset the workspace
-//! uses: the [`proptest!`] test-block macro, range strategies,
+//! uses: the [`proptest!`](crate::proptest!) test-block macro, range strategies,
 //! `collection::vec`, `prop_assert!`-family assertions, `prop_assume!`,
 //! and [`ProptestConfig::with_cases`]. Unlike upstream proptest there is
 //! no shrinking and no persistence file: every test derives its seed from
@@ -95,7 +95,7 @@ pub mod collection {
     use super::{StdRng, Strategy};
     use crate::rand::Rng;
 
-    /// Element counts for [`vec`]: a fixed size or a half-open range.
+    /// Element counts for [`vec()`]: a fixed size or a half-open range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {
         lo: usize,

@@ -32,7 +32,7 @@ fn grads_for(stack: &TrainedStack, user: &UserProfile, n: u64) -> Vec<GradientAr
 
 #[test]
 fn trained_fast_path_matches_naive_oracle_bit_for_bit() {
-    let stack = TrainedStack::build(EvalScale::smoke_test()).expect("training succeeds");
+    let mut stack = TrainedStack::build(EvalScale::smoke_test()).expect("training succeeds");
     let user = stack.held_out_users()[0].clone();
     let grads = grads_for(&stack, &user, 3);
     let refs: Vec<&GradientArray> = grads.iter().collect();
@@ -66,7 +66,7 @@ fn batched_extraction_is_invariant_to_batch_size() {
 
 #[test]
 fn fused_deployment_stays_within_tolerance() {
-    let stack = TrainedStack::build(EvalScale::smoke_test()).expect("training succeeds");
+    let mut stack = TrainedStack::build(EvalScale::smoke_test()).expect("training succeeds");
     let user = stack.held_out_users()[0].clone();
     let grads = grads_for(&stack, &user, 2);
     let refs: Vec<&GradientArray> = grads.iter().collect();
