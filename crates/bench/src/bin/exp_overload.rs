@@ -1,31 +1,27 @@
 //! Overload robustness benchmark: trains a deployment, measures its
 //! closed-loop capacity, then drives open-loop offered load past 2x
 //! capacity against the bounded-admission server and runs the
-//! deterministic circuit-breaker drill twice, writing the
-//! schema-versioned `BENCH_overload.json` the CI overload gate
-//! compares against the committed baseline.
+//! deterministic circuit-breaker drill twice, writing
+//! `BENCH_overload.json`, which `check_bench compare` gates against the
+//! committed baseline.
 //!
-//! Knobs: `MANDIPASS_OVERLOAD_SCALE=smoke` pins the deterministic CI
-//! scale (otherwise the usual `MANDIPASS_*` scale variables apply);
+//! Knobs: `MANDIPASS_BENCH_SCALE=smoke` pins the deterministic CI scale
+//! (otherwise the usual `MANDIPASS_*` scale variables apply);
 //! `MANDIPASS_OVERLOAD_REQUESTS` sizes each sweep point and
-//! `MANDIPASS_OVERLOAD_WORKERS` the server; `MANDIPASS_BENCH_OUT`
-//! overrides the output path.
+//! `MANDIPASS_OVERLOAD_WORKERS` the server.
 
-use mandipass_bench::{experiments, EvalScale, TrainedStack};
+use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 
 fn main() {
-    let scale = match std::env::var("MANDIPASS_OVERLOAD_SCALE").as_deref() {
-        Ok("smoke") => EvalScale::smoke_test(),
-        _ => EvalScale::from_env(),
-    };
+    let scale = EvalScale::from_env();
     println!("{}", scale.describe());
     let mut stack = TrainedStack::build(scale).expect("VSP training failed");
     let (_, threshold) = experiments::fig10b_eer(&mut stack);
     let (table, json) =
         experiments::exp_overload(&mut stack, threshold).expect("overload experiment failed");
     println!("{}", table.to_console());
-
-    let out = std::env::var("MANDIPASS_BENCH_OUT").unwrap_or_else(|_| "BENCH_overload.json".into());
-    std::fs::write(&out, json.to_json() + "\n").expect("write BENCH_overload.json");
-    println!("BENCH: {out}");
+    println!(
+        "BENCH: {}",
+        gate::write(&json).expect("write bench document")
+    );
 }

@@ -1,30 +1,26 @@
 //! Serving-layer benchmark: trains a deployment, enrols a cohort, then
 //! drives closed-loop mixed traffic (genuine / impostor / fault-injected)
 //! against it twice — in-process and through the TCP verify server — and
-//! writes the schema-versioned `BENCH_serve.json` the CI perf gate
-//! compares against the committed baseline.
+//! writes `BENCH_serve.json`, which `check_bench compare` gates against
+//! the committed baseline.
 //!
-//! Knobs: `MANDIPASS_SERVE_SCALE=smoke` pins the deterministic CI scale
+//! Knobs: `MANDIPASS_BENCH_SCALE=smoke` pins the deterministic CI scale
 //! (otherwise the usual `MANDIPASS_*` scale variables apply);
 //! `MANDIPASS_SERVE_CLIENTS` / `MANDIPASS_SERVE_REQUESTS` /
-//! `MANDIPASS_SERVE_WORKERS` size the load; `MANDIPASS_BENCH_OUT`
-//! overrides the output path.
+//! `MANDIPASS_SERVE_WORKERS` size the load.
 
-use mandipass_bench::{experiments, EvalScale, TrainedStack};
+use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 
 fn main() {
-    let scale = match std::env::var("MANDIPASS_SERVE_SCALE").as_deref() {
-        Ok("smoke") => EvalScale::smoke_test(),
-        _ => EvalScale::from_env(),
-    };
+    let scale = EvalScale::from_env();
     println!("{}", scale.describe());
     let mut stack = TrainedStack::build(scale).expect("VSP training failed");
     let (_, threshold) = experiments::fig10b_eer(&mut stack);
     let (table, json) =
         experiments::exp_serve(&mut stack, threshold).expect("serve experiment failed");
     println!("{}", table.to_console());
-
-    let out = std::env::var("MANDIPASS_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-    std::fs::write(&out, json.to_json() + "\n").expect("write BENCH_serve.json");
-    println!("BENCH: {out}");
+    println!(
+        "BENCH: {}",
+        gate::write(&json).expect("write bench document")
+    );
 }

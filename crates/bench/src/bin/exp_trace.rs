@@ -1,20 +1,18 @@
 //! End-to-end request-tracing benchmark: trains a deployment, enrols a
 //! cohort, drives traced TCP traffic through the verify server, and
-//! writes the schema-versioned `BENCH_trace.json` latency-attribution
-//! report (per-stage p50/p99 plus the top-k slowest traces) alongside
-//! the acceptance checks — stage sums within totals, error/degraded
+//! writes `BENCH_trace.json`: the per-stage latency-attribution summary
+//! (p50/p99/mean/max per stage) and the acceptance checks — stage sums within totals, error/degraded
 //! traces always span-bearing, echoed ids resolvable over `GET /traces`,
 //! and bit-identical deterministic sampling.
 //!
-//! Knobs: `MANDIPASS_SERVE_SCALE=smoke` pins the deterministic CI scale;
+//! Knobs: `MANDIPASS_BENCH_SCALE=smoke` pins the deterministic CI scale;
 //! `MANDIPASS_SERVE_CLIENTS` / `MANDIPASS_SERVE_REQUESTS` /
 //! `MANDIPASS_SERVE_WORKERS` size the load; `MANDIPASS_TRACE_SAMPLE`
 //! sets the store's probabilistic rate; `MANDIPASS_TRACE_HOLD_SECS`
 //! keeps the monitor HTTP listener up after the run so an external
-//! probe can curl `/metrics` and `/traces`; `MANDIPASS_BENCH_OUT`
-//! overrides the output path.
+//! probe can curl `/metrics` and `/traces`.
 
-use mandipass_bench::{experiments, EvalScale, TrainedStack};
+use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 
 // Counting allocator so `MANDIPASS_PROFILE_ALLOC=1` runs of this binary
 // serve real data on `/profile/alloc` during the hold phase. Attribution
@@ -24,10 +22,7 @@ static ALLOC: mandipass_telemetry::alloc::ProfilingAlloc =
     mandipass_telemetry::alloc::ProfilingAlloc;
 
 fn main() {
-    let scale = match std::env::var("MANDIPASS_SERVE_SCALE").as_deref() {
-        Ok("smoke") => EvalScale::smoke_test(),
-        _ => EvalScale::from_env(),
-    };
+    let scale = EvalScale::from_env();
     println!("{}", scale.describe());
     let mut stack = TrainedStack::build(scale).expect("VSP training failed");
     let (_, threshold) = experiments::fig10b_eer(&mut stack);
@@ -39,7 +34,8 @@ fn main() {
         "trace acceptance checks failed — see table above"
     );
 
-    let out = std::env::var("MANDIPASS_BENCH_OUT").unwrap_or_else(|_| "BENCH_trace.json".into());
-    std::fs::write(&out, json.to_json() + "\n").expect("write BENCH_trace.json");
-    println!("BENCH: {out}");
+    println!(
+        "BENCH: {}",
+        gate::write(&json).expect("write bench document")
+    );
 }

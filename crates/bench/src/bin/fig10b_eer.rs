@@ -1,6 +1,9 @@
-//! Fig. 10(b): the FAR/FRR sweep and the EER.
+//! Fig. 10(b): the FAR/FRR sweep and the EER, plus `BENCH_accuracy.json`,
+//! the same figures measured through enrol/verify and gated against the
+//! committed baseline. `MANDIPASS_BENCH_SCALE=smoke` pins the scale the
+//! baseline is measured at.
 
-use mandipass_bench::{experiments, EvalScale, TrainedStack};
+use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 
 fn main() {
     let scale = EvalScale::from_env();
@@ -10,4 +13,9 @@ fn main() {
     println!("{}", table.to_console());
     println!("operating threshold: {threshold:.4}");
     println!("JSON: {}", table.to_json());
+    let accuracy = experiments::exp_accuracy(&stack, threshold).expect("accuracy gate failed");
+    println!(
+        "BENCH: {}",
+        gate::write(&accuracy).expect("write bench document")
+    );
 }

@@ -9,7 +9,7 @@
 //! Progress narration goes through the telemetry sink (text on stderr
 //! by default here; `MANDIPASS_TELEMETRY=off|json` overrides).
 
-use mandipass_bench::{experiments, EvalScale, TrainedStack};
+use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 use mandipass_eval::ReportTable;
 use mandipass_telemetry as telemetry;
 
@@ -49,6 +49,8 @@ fn main() {
     };
 
     let (fig10b, threshold) = experiments::fig10b_eer(&mut stack);
+    let accuracy = experiments::exp_accuracy(&stack, threshold).expect("accuracy gate failed");
+    let mut bench_paths = vec![gate::write(&accuracy).expect("write bench document")];
     tables.push(experiments::fig10a_classifiers(&mut stack));
     tables.push(fig10b);
     tables.push(experiments::fig10c_gender(&mut stack, threshold));
@@ -67,9 +69,7 @@ fn main() {
     let (hotpath_table, hotpath_json) =
         experiments::exp_hotpath(&mut stack).expect("hot-path experiment failed");
     tables.push(hotpath_table);
-    let hotpath_out =
-        std::env::var("MANDIPASS_HOTPATH_OUT").unwrap_or_else(|_| "BENCH_hotpath.json".into());
-    std::fs::write(&hotpath_out, hotpath_json.to_json() + "\n").expect("write BENCH_hotpath.json");
+    bench_paths.push(gate::write(&hotpath_json).expect("write bench document"));
     tables.push(experiments::table1_comparison(&mut stack, threshold));
     telemetry::event("running the fault-injection robustness sweep…");
     let (robustness, _json) =
@@ -83,9 +83,7 @@ fn main() {
     let (serve_table, serve_json) =
         experiments::exp_serve(&mut stack, threshold).expect("serve experiment failed");
     tables.push(serve_table);
-    let bench_out =
-        std::env::var("MANDIPASS_BENCH_OUT").unwrap_or_else(|_| "BENCH_serve.json".into());
-    std::fs::write(&bench_out, serve_json.to_json() + "\n").expect("write BENCH_serve.json");
+    bench_paths.push(gate::write(&serve_json).expect("write bench document"));
 
     // Overload robustness: open-loop saturation against the bounded
     // admission queue plus the deterministic breaker drill, written as
@@ -94,10 +92,7 @@ fn main() {
     let (overload_table, overload_json) =
         experiments::exp_overload(&mut stack, threshold).expect("overload experiment failed");
     tables.push(overload_table);
-    let overload_out =
-        std::env::var("MANDIPASS_OVERLOAD_OUT").unwrap_or_else(|_| "BENCH_overload.json".into());
-    std::fs::write(&overload_out, overload_json.to_json() + "\n")
-        .expect("write BENCH_overload.json");
+    bench_paths.push(gate::write(&overload_json).expect("write bench document"));
 
     // Request tracing: traced TCP load with per-stage latency
     // attribution, written next to the serve perf artifact.
@@ -105,9 +100,7 @@ fn main() {
     let (trace_table, trace_json) =
         experiments::exp_trace(&mut stack, threshold).expect("trace experiment failed");
     tables.push(trace_table);
-    let trace_out =
-        std::env::var("MANDIPASS_TRACE_OUT").unwrap_or_else(|_| "BENCH_trace.json".into());
-    std::fs::write(&trace_out, trace_json.to_json() + "\n").expect("write BENCH_trace.json");
+    bench_paths.push(gate::write(&trace_json).expect("write bench document"));
 
     // Multi-training sweeps last (each trains its own extractors); run
     // them at a cheaper sub-scale — only the trend is asserted.
@@ -140,9 +133,9 @@ fn main() {
             "SHAPE MISMATCHES PRESENT"
         }
     );
-    println!("BENCH: {bench_out}");
-    println!("BENCH: {trace_out}");
-    println!("BENCH: {hotpath_out}");
+    for path in &bench_paths {
+        println!("BENCH: {path}");
+    }
     // The live-exposition view of the whole run: bench output and the
     // /metrics endpoints share one schema via Monitor::snapshot.
     println!(

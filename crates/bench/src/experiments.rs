@@ -16,7 +16,7 @@ use mandipass_dsp::detect::detect_vibration_start;
 use mandipass_dsp::outlier::{clean_segment, detect_outliers};
 use mandipass_dsp::stats::std_dev;
 use mandipass_dsp::window::windowed_std;
-use mandipass_eval::metrics::{frr_at, vsr_at};
+use mandipass_eval::metrics::{eer, frr_at, vsr_at};
 use mandipass_eval::pairs::ScoreSet;
 use mandipass_eval::{ExperimentRecord, ReportTable};
 use mandipass_imu_sim::faults::sweep_profiles;
@@ -31,14 +31,13 @@ use mandipass_telemetry::{
 };
 use mandipass_util::json::Value;
 
+use crate::gate::{self, Gate};
 use crate::harness::TrainedStack;
 use crate::load::{
-    bench_serve_document, outcome_signature, plan_indexed_request, run_load, run_open_loop,
-    trace_attribution, validate_bench_hotpath, validate_bench_overload, validate_bench_serve,
-    validate_bench_trace, LoadConfig, LoadTarget, OpenLoopConfig, OpenOutcome, TrafficMix,
-    BENCH_HOTPATH_SCHEMA, BENCH_TRACE_SCHEMA,
+    outcome_signature, plan_indexed_request, run_load, run_open_loop, trace_attribution,
+    LoadConfig, LoadReport, LoadTarget, OpenLoopConfig, OpenOutcome, TrafficMix,
 };
-use crate::scale::EvalScale;
+use crate::scale::{env_or, EvalScale};
 
 /// Fig. 1: σ(az) decays along the throat → mandible → ear path.
 pub fn fig01_propagation(scale: &EvalScale) -> ReportTable {
@@ -388,6 +387,150 @@ pub fn fig10b_eer(stack: &mut TrainedStack) -> (ReportTable, f64) {
         true,
     ));
     (table, eval.eer_point.threshold)
+}
+
+/// `BENCH_accuracy.json`: Fig. 10(b) and §VI measured through the
+/// deployed [`MandiPass`] enrol/verify path, so the cancelable template
+/// transform is on the measured path. Each held-out user enrols under
+/// one matrix and every held-out probe is verified against every
+/// held-out template at the deployed `threshold`; a probe that fails
+/// preprocessing counts as a reject. Revocation then re-enrols each
+/// user under a second matrix, replays the revoked template, and
+/// verifies the user's probes under the revoked matrix. The `digest`
+/// hashes every decision and distance bit, so any numeric change trips
+/// it while the EER bound decides whether an intended change is
+/// acceptable.
+///
+/// # Errors
+///
+/// Propagates enrolment failures.
+pub fn exp_accuracy(stack: &TrainedStack, threshold: f64) -> Result<Value, MandiPassError> {
+    let _span = mandipass_telemetry::span("exp_accuracy");
+    const ENROL: u64 = 4;
+    let users = stack.held_out_users();
+    let recorder = &stack.recorder;
+    let recordings = |user: &UserProfile, base: u64, count: u64| -> Vec<Recording> {
+        (0..count)
+            .map(|s| {
+                recorder.record(
+                    user,
+                    Condition::Normal,
+                    base ^ (u64::from(user.id) << 16) ^ s,
+                )
+            })
+            .collect()
+    };
+    let config = PipelineConfig {
+        threshold,
+        ..PipelineConfig::default()
+    };
+    let mut auth = MandiPass::new(stack.extractor.clone(), config);
+    let dim = auth.embedding_dim();
+    let matrix = |user: &UserProfile, epoch: u64| {
+        GaussianMatrix::generate(0xacc0_0000 ^ (epoch << 32) ^ u64::from(user.id), dim)
+    };
+    for user in users {
+        auth.enroll(
+            user.id,
+            &recordings(user, 0xacc1_0000, ENROL),
+            &matrix(user, 0),
+        )?;
+    }
+    let probe_sets: Vec<Vec<Recording>> = users
+        .iter()
+        .map(|u| recordings(u, 0xacc2_0000, stack.scale.probes_per_user as u64))
+        .collect();
+
+    let (mut genuine, mut impostor) = (Vec::new(), Vec::new());
+    let (mut genuine_attempts, mut impostor_attempts) = (0usize, 0usize);
+    let (mut false_rejects, mut false_accepts) = (0usize, 0usize);
+    let mut trail = Vec::new();
+    for claimed in users {
+        let claimed_matrix = matrix(claimed, 0);
+        for (owner, probes) in users.iter().zip(&probe_sets) {
+            for probe in probes {
+                let outcome = auth.verify(claimed.id, probe, &claimed_matrix).ok();
+                let accepted = outcome.is_some_and(|o| o.accepted);
+                let distance = outcome.map_or(f64::NAN, |o| o.distance);
+                trail.push(u8::from(accepted));
+                trail.extend(distance.to_bits().to_le_bytes());
+                if owner.id == claimed.id {
+                    genuine_attempts += 1;
+                    false_rejects += usize::from(!accepted);
+                    genuine.extend(outcome.map(|o| o.distance));
+                } else {
+                    impostor_attempts += 1;
+                    false_accepts += usize::from(accepted);
+                    impostor.extend(outcome.map(|o| o.distance));
+                }
+            }
+        }
+    }
+
+    let (mut cross_seed, mut revoked_accepts, mut revoked_attempts) = (Vec::new(), 0usize, 0usize);
+    for (user, probes) in users.iter().zip(&probe_sets) {
+        let revoked = auth
+            .revoke(user.id)
+            .ok_or(MandiPassError::NotEnrolled { user_id: user.id })?;
+        auth.enroll(
+            user.id,
+            &recordings(user, 0xacc1_0000, ENROL),
+            &matrix(user, 1),
+        )?;
+        let renewed = auth.enclave().load(user.id)?;
+        cross_seed.push(cosine_distance(revoked.as_slice(), renewed.as_slice()));
+        let replay = auth.verify_cancelable(user.id, &revoked)?;
+        let revoked_matrix = matrix(user, 0);
+        let stale = probes
+            .iter()
+            .filter_map(|probe| auth.verify(user.id, probe, &revoked_matrix).ok());
+        for outcome in std::iter::once(replay).chain(stale) {
+            revoked_attempts += 1;
+            revoked_accepts += usize::from(outcome.accepted);
+        }
+    }
+
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
+    let rate = |hits: usize, of: usize| hits as f64 / of as f64;
+    let mut metrics = gate::numbers(&[
+        ("eer", eer(&genuine, &impostor).map_or(f64::NAN, |p| p.eer)),
+        ("threshold", threshold),
+        ("far", rate(false_accepts, impostor_attempts)),
+        ("frr", rate(false_rejects, genuine_attempts)),
+        ("genuine_mean", mean(&genuine)),
+        ("impostor_mean", mean(&impostor)),
+        ("genuine_attempts", genuine_attempts as f64),
+        ("impostor_attempts", impostor_attempts as f64),
+        ("cross_seed_mean_distance", mean(&cross_seed)),
+        (
+            "revoked_accept_rate",
+            rate(revoked_accepts, revoked_attempts),
+        ),
+        ("revoked_attempts", revoked_attempts as f64),
+    ]);
+    metrics.push(("digest".into(), Value::String(gate::fnv1a_hex(&trail))));
+    let metrics = Value::Object(metrics);
+    // The EER bound sits 1.5 steps of the smoke scale's 1/16 resolution
+    // above its measured 0.3125 and below chance (0.5). FAR and FRR at a
+    // threshold fitted elsewhere swing with any intended change, so they
+    // only must not be degenerate. Templates of one user under two
+    // matrices must sit at least as far apart as two users (§VI).
+    let gates = [
+        Gate::absolute("genuine_attempts").min(1.0),
+        Gate::absolute("impostor_attempts").min(1.0),
+        Gate::absolute("revoked_attempts").min(1.0),
+        Gate::absolute("eer").max(0.4),
+        Gate::absolute("far").below(1.0),
+        Gate::absolute("frr").below(1.0),
+        Gate::same_run("genuine_mean", "impostor_mean").below(1.0),
+        Gate::same_run("cross_seed_mean_distance", "impostor_mean").min(1.0),
+        Gate::absolute("revoked_accept_rate").max(0.0),
+        Gate::digest("digest"),
+    ];
+    let scale = format!("{:?}", stack.scale);
+    Ok(gate::document(
+        "accuracy", &scale, &metrics, &gates, None, None,
+    ))
 }
 
 /// Fig. 10(c): VSR fairness across five males and five females.
@@ -939,9 +1082,9 @@ pub fn exp_overhead(stack: &mut TrainedStack) -> ReportTable {
 /// Hot path: the zero-alloc im2col+GEMM inference path measured against
 /// the naive tensor-per-layer oracle, in the same binary in the same
 /// run, plus the fused conv+BN variant and the batched `[N,C,H,W]`
-/// forward. Produces the schema-versioned `BENCH_hotpath.json` document
-/// the CI perf gate consumes; every ratio in it is same-run, so the
-/// gate is machine-independent.
+/// forward. Produces the gated `BENCH_hotpath.json` document the CI
+/// perf gate consumes; every ratio in it is same-run, so the gate is
+/// machine-independent.
 ///
 /// # Errors
 ///
@@ -949,14 +1092,8 @@ pub fn exp_overhead(stack: &mut TrainedStack) -> ReportTable {
 pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), MandiPassError> {
     use std::time::Instant;
     let _span = mandipass_telemetry::span("exp_hotpath");
-    let env_usize = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let iters = env_usize("MANDIPASS_HOTPATH_ITERS", 150).max(3);
-    let batch = env_usize("MANDIPASS_HOTPATH_BATCH", 4).max(2);
+    let iters = env_or::<usize>("MANDIPASS_HOTPATH_ITERS", 150)?.max(3);
+    let batch = env_or::<usize>("MANDIPASS_HOTPATH_BATCH", 4)?.max(2);
     // Per-call seconds as the best of three equal chunks: the minimum
     // discards one-time warm-up noise (page faults, frequency ramp)
     // that a single short mean absorbs, without needing long runs.
@@ -1117,67 +1254,57 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
         .with_note(format!("{speedup_batched:.1}x vs naive per probe")),
     );
 
-    let doc = Value::Object(vec![
-        ("schema".into(), Value::String(BENCH_HOTPATH_SCHEMA.into())),
-        ("scale".into(), Value::String(format!("{:?}", stack.scale))),
-        ("iters".into(), Value::Number(iters as f64)),
-        ("batch".into(), Value::Number(batch as f64)),
-        ("folded_layers".into(), Value::Number(folded as f64)),
-        (
-            "per_verify_seconds".into(),
-            Value::Object(vec![
-                ("naive".into(), Value::Number(naive_per)),
-                ("fast".into(), Value::Number(fast_per)),
-                ("fused".into(), Value::Number(fused_per)),
-                ("batched_per_probe".into(), Value::Number(batched_per)),
-            ]),
-        ),
-        (
-            "speedup".into(),
-            Value::Object(vec![
-                ("fast".into(), Value::Number(speedup_fast)),
-                ("fused".into(), Value::Number(speedup_fused)),
-                ("batched".into(), Value::Number(speedup_batched)),
-            ]),
-        ),
-        (
-            "parity".into(),
-            Value::Object(vec![
-                ("fast_bitwise".into(), Value::Bool(fast_bitwise)),
-                ("fused_max_abs_err".into(), Value::Number(fused_err)),
-            ]),
-        ),
-        (
-            "arena".into(),
-            Value::Object(vec![
-                (
-                    "steady_growth_events".into(),
-                    Value::Number(arena.growth_events as f64),
-                ),
-                (
-                    "high_water_bytes".into(),
-                    Value::Number(arena.high_water_bytes as f64),
-                ),
-                (
-                    "pooled_buffers".into(),
-                    Value::Number(arena.pooled_buffers as f64),
-                ),
-            ]),
-        ),
-        (
-            "stages".into(),
-            Value::Object(vec![
-                ("im2col_mean_ns".into(), Value::Number(mean_ns("im2col"))),
-                ("gemm_mean_ns".into(), Value::Number(mean_ns("gemm"))),
-                (
-                    "bias_act_mean_ns".into(),
-                    Value::Number(mean_ns("bias_act")),
-                ),
-            ]),
-        ),
-        ("profile".into(), profile_section),
+    let mut metrics = gate::numbers(&[
+        ("iters", iters as f64),
+        ("batch", batch as f64),
+        ("folded_layers", folded as f64),
+        ("per_verify_seconds.naive", naive_per),
+        ("per_verify_seconds.fast", fast_per),
+        ("per_verify_seconds.fused", fused_per),
+        ("per_verify_seconds.batched_per_probe", batched_per),
+        ("speedup.fast", speedup_fast),
+        ("speedup.fused", speedup_fused),
+        ("speedup.batched", speedup_batched),
+        ("parity.fused_max_abs_err", fused_err),
+        ("arena.steady_growth_events", arena.growth_events as f64),
+        ("arena.high_water_bytes", arena.high_water_bytes as f64),
+        ("arena.pooled_buffers", arena.pooled_buffers as f64),
+        ("stages.im2col_mean_ns", mean_ns("im2col")),
+        ("stages.gemm_mean_ns", mean_ns("gemm")),
+        ("stages.bias_act_mean_ns", mean_ns("bias_act")),
     ]);
-    debug_assert!(validate_bench_hotpath(&doc).is_ok());
+    metrics.push(("parity.fast_bitwise".into(), Value::Bool(fast_bitwise)));
+    let metrics = Value::Object(metrics);
+    let mut gates = vec![
+        Gate::absolute("iters").min(1.0),
+        Gate::absolute("batch").min(1.0),
+        Gate::absolute("speedup.fast").min(3.0),
+        Gate::vs_baseline("speedup.fast").min(0.5),
+        Gate::absolute("speedup.fused").above(0.0),
+        Gate::absolute("speedup.batched").above(0.0),
+        Gate::bool("parity.fast_bitwise"),
+        Gate::absolute("parity.fused_max_abs_err").below(1e-5),
+        Gate::absolute("arena.steady_growth_events")
+            .min(0.0)
+            .max(0.0),
+        Gate::absolute("arena.high_water_bytes").min(0.0),
+        Gate::absolute("arena.pooled_buffers").min(0.0),
+    ];
+    for path in ["naive", "fast", "fused", "batched_per_probe"] {
+        gates.push(Gate::absolute(format!("per_verify_seconds.{path}")).above(0.0));
+    }
+    for stage in ["im2col", "gemm", "bias_act"] {
+        gates.push(Gate::absolute(format!("stages.{stage}_mean_ns")).min(0.0));
+    }
+    let scale = format!("{:?}", stack.scale);
+    let doc = gate::document(
+        "hotpath",
+        &scale,
+        &metrics,
+        &gates,
+        Some(profile_section),
+        None,
+    );
     Ok((table, doc))
 }
 
@@ -1785,7 +1912,7 @@ pub fn exp_monitor(
 }
 
 /// Serving layer: closed-loop mixed traffic against one enrolled
-/// deployment, in-process and over TCP, plus the schema-versioned
+/// deployment, in-process and over TCP, plus the gated
 /// `BENCH_serve.json` document the CI perf gate consumes.
 pub fn exp_serve(
     stack: &mut TrainedStack,
@@ -1793,15 +1920,9 @@ pub fn exp_serve(
 ) -> Result<(ReportTable, Value), MandiPassError> {
     let _span = mandipass_telemetry::span("exp_serve");
     const COHORT: usize = 4;
-    let env_usize = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let clients = env_usize("MANDIPASS_SERVE_CLIENTS", 4).max(1);
-    let requests = env_usize("MANDIPASS_SERVE_REQUESTS", 24).max(1);
-    let workers = env_usize("MANDIPASS_SERVE_WORKERS", 4).max(1);
+    let clients = env_or::<usize>("MANDIPASS_SERVE_CLIENTS", 4)?.max(1);
+    let requests = env_or::<usize>("MANDIPASS_SERVE_REQUESTS", 24)?.max(1);
+    let workers = env_or::<usize>("MANDIPASS_SERVE_WORKERS", 4)?.max(1);
 
     // A private monitor so load traffic does not pollute the global
     // deployment's drift windows (same idiom as `exp_monitor`).
@@ -1883,7 +2004,7 @@ pub fn exp_serve(
         clients,
         requests_per_client: requests,
         // Probes per policy request (default 2 keeps historical plans).
-        policy_batch: env_usize("MANDIPASS_POLICY_BATCH", 2).max(1),
+        policy_batch: env_or::<usize>("MANDIPASS_POLICY_BATCH", 2)?.max(1),
         ..LoadConfig::default()
     };
     let in_process = run_load(
@@ -1926,10 +2047,14 @@ pub fn exp_serve(
     let health = monitor.health();
 
     let scale_desc = format!("{clients} clients x {requests} requests, {workers} workers");
-    let mut doc = bench_serve_document(&scale_desc, &load_config, workers, &in_process, &tcp);
-    if let Value::Object(members) = &mut doc {
-        members.push(("profile".to_string(), profile_section));
-    }
+    let doc = serve_document(
+        &scale_desc,
+        &load_config,
+        workers,
+        &in_process,
+        &tcp,
+        Some(profile_section),
+    );
 
     let mut table = ReportTable::new("Serve: closed-loop load, in-process vs TCP");
     table.push(
@@ -2009,17 +2134,75 @@ pub fn exp_serve(
         ),
         health.decisions > 0,
     ));
-    table.push(ExperimentRecord::new(
-        "Serve",
-        "BENCH_serve.json validates against schema",
-        "ok",
-        match validate_bench_serve(&doc) {
-            Ok(()) => "ok".to_string(),
-            Err(e) => e,
-        },
-        validate_bench_serve(&doc).is_ok(),
-    ));
+    table.push(gate_record("Serve", &doc));
     Ok((table, doc))
+}
+
+/// `BENCH_serve.json`: both transport sections' metrics under one gate
+/// table, with the run's config and drift-monitor reports as detail.
+pub(crate) fn serve_document(
+    scale: &str,
+    config: &LoadConfig,
+    workers: usize,
+    in_process: &LoadReport,
+    tcp: &LoadReport,
+    profile: Option<Value>,
+) -> Value {
+    let mut gates = vec![Gate::absolute("workers").min(1.0)];
+    for section in ["in_process", "tcp"] {
+        let m = |field: &str| format!("{section}.{field}");
+        gates.extend([
+            Gate::absolute(m("requests")).above(0.0),
+            Gate::absolute(m("qps")).above(0.0),
+            Gate::absolute(m("latency_seconds.p50")).above(0.0),
+            Gate::same_run(m("latency_seconds.p50"), m("latency_seconds.p99")).max(1.0),
+            Gate::same_run(m("latency_seconds.p99"), m("latency_seconds.p999")).max(1.0),
+            Gate::absolute(m("counts.errors")).min(0.0).max(0.0),
+            Gate::absolute(m("rates.reject")).min(0.0).max(1.0),
+            Gate::absolute(m("rates.degraded")).min(0.0).max(1.0),
+            Gate::vs_baseline(m("latency_seconds.p99")).max(2.0),
+            Gate::vs_baseline(m("qps")).min(0.5),
+        ]);
+        for count in [
+            "accepted",
+            "rejected",
+            "degraded",
+            "exhausted",
+            "genuine",
+            "impostor",
+            "faulty",
+        ] {
+            gates.push(Gate::absolute(m(&format!("counts.{count}"))).min(0.0));
+        }
+    }
+    let metrics = Value::Object(vec![
+        ("workers".to_string(), Value::Number(workers as f64)),
+        ("in_process".to_string(), in_process.to_json()),
+        ("tcp".to_string(), tcp.to_json()),
+    ]);
+    let detail = Value::Object(vec![
+        ("config".to_string(), config.serialise()),
+        (
+            "monitor".to_string(),
+            Value::Object(vec![
+                ("in_process".to_string(), in_process.monitor.clone()),
+                ("tcp".to_string(), tcp.monitor.clone()),
+            ]),
+        ),
+    ]);
+    gate::document("serve", scale, &metrics, &gates, profile, Some(detail))
+}
+
+/// The report row stating whether a bench document passes its own gates.
+fn gate_record(experiment: &str, doc: &Value) -> ExperimentRecord {
+    let verdict = gate::check(doc);
+    ExperimentRecord::new(
+        experiment,
+        "BENCH document passes its own gates",
+        "ok",
+        verdict.clone().err().unwrap_or_else(|| "ok".to_string()),
+        verdict.is_ok(),
+    )
 }
 
 /// Overload robustness: measures closed-loop capacity, then drives
@@ -2029,22 +2212,16 @@ pub fn exp_serve(
 /// saturated tail latency within 5x unsaturated, typed sheds with zero
 /// transport errors, admitted-decision parity against an in-process
 /// replay of the same planned stream, and a breaker drill that opens,
-/// recovers, and repeats bit-identically — and writes the
-/// schema-versioned `BENCH_overload.json`.
+/// recovers, and repeats bit-identically — and writes the gated
+/// `BENCH_overload.json`.
 pub fn exp_overload(
     stack: &mut TrainedStack,
     threshold: f64,
 ) -> Result<(ReportTable, Value), MandiPassError> {
     let _span = mandipass_telemetry::span("exp_overload");
     const COHORT: usize = 4;
-    let env_usize = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let requests = env_usize("MANDIPASS_OVERLOAD_REQUESTS", 120).max(16);
-    let workers = env_usize("MANDIPASS_OVERLOAD_WORKERS", 2).max(1);
+    let requests = env_or::<usize>("MANDIPASS_OVERLOAD_REQUESTS", 120)?.max(16);
+    let workers = env_or::<usize>("MANDIPASS_OVERLOAD_WORKERS", 2)?.max(1);
     let seed: u64 = 0x0ea6_10ad;
 
     let users: Vec<UserProfile> = stack
@@ -2321,48 +2498,32 @@ pub fn exp_overload(
     // ----- Document --------------------------------------------------
     let scale_desc =
         format!("{requests} open-loop requests per point, {workers} workers, queue {workers}");
-    let mut overload_section = match overload.to_json() {
-        Value::Object(fields) => fields,
-        _ => unreachable!("OpenLoopReport::to_json returns an object"),
-    };
-    overload_section.push((
-        "saturation_ratio".to_string(),
-        Value::Number(saturation_ratio),
-    ));
-    overload_section.push((
-        "p99_ratio_vs_unsaturated".to_string(),
-        Value::Number(p99_ratio),
-    ));
-    overload_section.push((
-        "parity_checked".to_string(),
-        Value::Number(parity_checked as f64),
-    ));
-    overload_section.push((
-        "parity_mismatches".to_string(),
-        Value::Number(parity_mismatches as f64),
-    ));
-    let doc = Value::Object(vec![
+    let mut metrics = gate::numbers(&[
+        ("capacity.qps", capacity_qps),
+        ("capacity.p99_seconds", closed.latency.p99.max(1e-9)),
+        ("overload.saturation_ratio", saturation_ratio),
+        ("overload.p99_ratio_vs_unsaturated", p99_ratio),
+        ("overload.parity_checked", parity_checked as f64),
+        ("overload.parity_mismatches", parity_mismatches as f64),
+        ("drill.shed_deadline", shed_deadline as f64),
+        ("drill.shed_breaker", shed_breaker as f64),
+    ]);
+    metrics.extend([
+        ("overload".to_string(), overload.to_json()),
+        ("drill.opened".to_string(), Value::Bool(opened)),
+        ("drill.recovered".to_string(), Value::Bool(recovered)),
         (
-            "schema".to_string(),
-            Value::String(crate::load::BENCH_OVERLOAD_SCHEMA.to_string()),
+            "drill.runs_identical".to_string(),
+            Value::Bool(runs_identical),
         ),
-        ("scale".to_string(), Value::String(scale_desc.clone())),
+    ]);
+    let metrics = Value::Object(metrics);
+    let detail = Value::Object(vec![
         ("seed".to_string(), Value::Number(seed as f64)),
-        (
-            "capacity".to_string(),
-            Value::Object(vec![
-                ("qps".to_string(), Value::Number(capacity_qps)),
-                (
-                    "p99_seconds".to_string(),
-                    Value::Number(closed.latency.p99.max(1e-9)),
-                ),
-            ]),
-        ),
         (
             "sweep".to_string(),
             Value::Array(vec![unsaturated.to_json(), overload.to_json()]),
         ),
-        ("overload".to_string(), Value::Object(overload_section)),
         (
             "drill".to_string(),
             Value::Object(vec![
@@ -2374,18 +2535,10 @@ pub fn exp_overload(
                     "responses".to_string(),
                     Value::Array(kinds.iter().cloned().map(Value::String).collect()),
                 ),
-                (
-                    "shed_deadline".to_string(),
-                    Value::Number(shed_deadline as f64),
-                ),
-                (
-                    "shed_breaker".to_string(),
-                    Value::Number(shed_breaker as f64),
-                ),
-                ("runs_identical".to_string(), Value::Bool(runs_identical)),
             ]),
         ),
     ]);
+    let doc = overload_document(&scale_desc, &metrics, detail);
 
     // ----- Report ----------------------------------------------------
     let mut table = ReportTable::new("Overload: bounded admission, shedding, breaker drill");
@@ -2469,17 +2622,35 @@ pub fn exp_overload(
         },
         runs_identical,
     ));
-    table.push(ExperimentRecord::new(
-        "Overload",
-        "BENCH_overload.json validates against schema",
-        "ok",
-        match validate_bench_overload(&doc) {
-            Ok(()) => "ok".to_string(),
-            Err(e) => e,
-        },
-        validate_bench_overload(&doc).is_ok(),
-    ));
+    table.push(gate_record("Overload", &doc));
     Ok((table, doc))
+}
+
+/// `BENCH_overload.json` under the overload acceptance gates: typed
+/// sheds at >= 2x capacity, a bounded admitted tail, decision parity,
+/// and a drill that opens, recovers and repeats identically.
+pub(crate) fn overload_document(scale: &str, metrics: &Value, detail: Value) -> Value {
+    let gates = [
+        Gate::absolute("capacity.qps").above(0.0),
+        Gate::absolute("capacity.p99_seconds").above(0.0),
+        Gate::absolute("overload.saturation_ratio").min(2.0),
+        Gate::absolute("overload.transport_errors")
+            .min(0.0)
+            .max(0.0),
+        Gate::absolute("overload.served").above(0.0),
+        Gate::absolute("overload.shed.overloaded").above(0.0),
+        Gate::absolute("overload.p99_ratio_vs_unsaturated").max(5.0),
+        Gate::absolute("overload.parity_checked").above(0.0),
+        Gate::absolute("overload.parity_mismatches")
+            .min(0.0)
+            .max(0.0),
+        Gate::bool("drill.opened"),
+        Gate::bool("drill.recovered"),
+        Gate::bool("drill.runs_identical"),
+        Gate::vs_baseline("overload.goodput").min(0.4),
+        Gate::vs_baseline("overload.latency_seconds.p99").max(3.0),
+    ];
+    gate::document("overload", scale, metrics, &gates, None, Some(detail))
 }
 
 /// One plain HTTP GET against a loopback server; returns the body.
@@ -2515,15 +2686,10 @@ pub fn exp_trace(
 ) -> Result<(ReportTable, Value), MandiPassError> {
     let _span = mandipass_telemetry::span("exp_trace");
     const COHORT: usize = 4;
-    let env_usize = |name: &str, default: usize| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    };
-    let clients = env_usize("MANDIPASS_SERVE_CLIENTS", 4).max(1);
-    let requests = env_usize("MANDIPASS_SERVE_REQUESTS", 16).max(1);
-    let workers = env_usize("MANDIPASS_SERVE_WORKERS", 4).max(1);
+    let clients = env_or::<usize>("MANDIPASS_SERVE_CLIENTS", 4)?.max(1);
+    let requests = env_or::<usize>("MANDIPASS_SERVE_REQUESTS", 16)?.max(1);
+    let workers = env_or::<usize>("MANDIPASS_SERVE_WORKERS", 4)?.max(1);
+    let hold_secs = env_or::<u64>("MANDIPASS_TRACE_HOLD_SECS", 0)?;
 
     // A private monitor: the trace store under test must contain exactly
     // this experiment's requests.
@@ -2605,8 +2771,7 @@ pub fn exp_trace(
     .expect("bind verify server on loopback");
     // The monitor's own HTTP listener: the /traces assertion below goes
     // over a real socket, not a method call.
-    let http_addr =
-        std::env::var("MANDIPASS_TRACE_HTTP_ADDR").unwrap_or_else(|_| "127.0.0.1:0".into());
+    let http_addr = env_or("MANDIPASS_TRACE_HTTP_ADDR", "127.0.0.1:0".to_string())?;
     let mut http = MonitorServer::bind(monitor, &http_addr).expect("bind monitor HTTP listener");
 
     let load_config = LoadConfig {
@@ -2740,32 +2905,16 @@ pub fn exp_trace(
     let order_independent = sorted_ids(&first) == sorted_ids(&reversed);
     let sampler_thinned = first.len() < tcp.trace_ids.len();
 
-    let attribution = trace_attribution(monitor, 5);
-    let doc = Value::Object(vec![
-        (
-            "schema".to_string(),
-            Value::String(BENCH_TRACE_SCHEMA.to_string()),
-        ),
-        (
-            "scale".to_string(),
-            Value::String(format!(
-                "{clients} clients x {requests} requests, {workers} workers"
-            )),
-        ),
+    // The per-stage summary only: the slowest traces and the whole store
+    // are served live on `/traces`, not kept in the artifact.
+    let attribution = trace_attribution(monitor, 0);
+    let metrics = Value::Object(vec![
         ("requests".to_string(), Value::Number(tcp.requests as f64)),
         (
             "echoed_ids".to_string(),
             Value::Number(tcp.trace_ids.len() as f64),
         ),
         ("attribution".to_string(), attribution.clone()),
-        (
-            "store".to_string(),
-            monitor
-                .snapshot()
-                .get("traces")
-                .cloned()
-                .unwrap_or(Value::Null),
-        ),
         (
             "checks".to_string(),
             Value::Object(
@@ -2783,6 +2932,10 @@ pub fn exp_trace(
             ),
         ),
     ]);
+    let doc = trace_document(
+        &format!("{clients} clients x {requests} requests, {workers} workers"),
+        &metrics,
+    );
 
     let mut table = ReportTable::new("Trace: end-to-end request tracing over TCP");
     table.push(
@@ -2852,28 +3005,45 @@ pub fn exp_trace(
         format!("{:.0} ns", p99_attributed),
         p99_attributed > 0.0,
     ));
-    table.push(ExperimentRecord::new(
-        "Trace",
-        "BENCH_trace.json validates against schema",
-        "ok",
-        match validate_bench_trace(&doc) {
-            Ok(()) => "ok".to_string(),
-            Err(e) => e,
-        },
-        validate_bench_trace(&doc).is_ok(),
-    ));
+    table.push(gate_record("Trace", &doc));
 
     // Optional hold for CI: keep both listeners alive so an external
     // probe can curl /metrics and /traces while the process is up.
-    if let Some(secs) = std::env::var("MANDIPASS_TRACE_HOLD_SECS")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .filter(|s| *s > 0)
-    {
+    if hold_secs > 0 {
         println!("TRACE_HTTP: {}", http.local_addr());
-        std::thread::sleep(std::time::Duration::from_secs(secs));
+        std::thread::sleep(std::time::Duration::from_secs(hold_secs));
     }
     server.shutdown();
     http.shutdown();
     Ok((table, doc))
+}
+
+/// `BENCH_trace.json`: the per-stage attribution summary and the
+/// acceptance checks under their gates. `queue_wait` is sparse by
+/// design (only queued requests record it), so it is reported but not
+/// required.
+pub(crate) fn trace_document(scale: &str, metrics: &Value) -> Value {
+    let mut gates = vec![
+        Gate::absolute("requests").min(1.0),
+        Gate::absolute("attribution.trace_count").min(1.0),
+        Gate::vs_baseline("requests").min(0.5),
+        Gate::vs_baseline("attribution.stages.verify.p99_nanos").max(2.0),
+        Gate::vs_baseline("attribution.stages.total.p99_nanos").max(2.0),
+    ];
+    for stage in ["total", "decode", "verify", "write"] {
+        let m = |field: &str| format!("attribution.stages.{stage}.{field}");
+        gates.extend([
+            Gate::absolute(m("count")).min(1.0),
+            Gate::absolute(m("p50_nanos")).min(0.0),
+            Gate::same_run(m("p50_nanos"), m("p99_nanos")).max(1.0),
+        ]);
+    }
+    if let Some(Value::Object(checks)) = metrics.get("checks") {
+        gates.extend(
+            checks
+                .iter()
+                .map(|(name, _)| Gate::bool(format!("checks.{name}"))),
+        );
+    }
+    gate::document("trace", scale, metrics, &gates, None, None)
 }

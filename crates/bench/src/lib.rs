@@ -7,9 +7,11 @@
 //! once and regenerates every artifact in one process.
 //!
 //! Scales default to reduced-but-shape-preserving sizes and can be raised
-//! to paper scale through environment variables (see [`scale`]).
+//! to paper scale through environment variables (see [`scale`]). Bench
+//! artifacts share one gated document shape (see [`gate`]).
 
 pub mod experiments;
+pub mod gate;
 pub mod harness;
 pub mod load;
 pub mod profile;

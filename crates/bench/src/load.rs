@@ -1,5 +1,4 @@
-//! Closed-loop load generator for the serving layer, plus the
-//! `BENCH_serve.json` schema validator and baseline comparator.
+//! Closed-loop and open-loop load generators for the serving layer.
 //!
 //! N client threads each issue a deterministic per-client stream of
 //! mixed traffic — genuine probes, cross-user impostor probes, and
@@ -13,8 +12,8 @@
 //! Request *contents* derive only from `(seed, client index, request
 //! index)`, never from timing, so the decision tallies of two runs with
 //! the same config are bit-identical across transports — the
-//! transport-parity check in `exp_serve` and the deterministic shape of
-//! `BENCH_serve.json` both rest on this.
+//! transport-parity check in `exp_serve` and the deterministic decision
+//! counts of `BENCH_serve.json` both rest on this.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
@@ -26,9 +25,6 @@ use mandipass_serve::{Request, Response, VerifyClient, VerifyService};
 use mandipass_telemetry::{Histogram, Monitor, Registry};
 use mandipass_util::json::Value;
 use mandipass_util::rand::{rngs::StdRng, Rng, SeedableRng};
-
-/// Schema tag of the serve bench artifact.
-pub const BENCH_SERVE_SCHEMA: &str = "mandipass.bench.serve/v1";
 
 /// Traffic composition in whole percent; the three shares must sum
 /// to 100 (validated by [`LoadConfig::validate`]).
@@ -109,7 +105,7 @@ impl LoadConfig {
         Ok(())
     }
 
-    fn serialise(&self) -> Value {
+    pub(crate) fn serialise(&self) -> Value {
         Value::Object(vec![
             ("clients".to_string(), Value::Number(self.clients as f64)),
             (
@@ -277,58 +273,30 @@ impl LoadReport {
         ]
     }
 
-    /// One `BENCH_serve.json` section.
+    /// One transport section of the `BENCH_serve.json` metrics.
     pub fn to_json(&self) -> Value {
-        let num = |v: f64| {
-            if v.is_finite() {
-                Value::Number(v)
-            } else {
-                Value::Null
-            }
-        };
-        Value::Object(vec![
-            ("requests".to_string(), Value::Number(self.requests as f64)),
-            ("wall_seconds".to_string(), num(self.wall_seconds)),
-            ("qps".to_string(), num(self.qps)),
-            (
-                "latency_seconds".to_string(),
-                Value::Object(vec![
-                    ("p50".to_string(), num(self.latency.p50)),
-                    ("p99".to_string(), num(self.latency.p99)),
-                    ("p999".to_string(), num(self.latency.p999)),
-                    ("mean".to_string(), num(self.latency.mean)),
-                    ("max".to_string(), num(self.latency.max)),
-                ]),
-            ),
-            (
-                "counts".to_string(),
-                Value::Object(
-                    [
-                        ("accepted", self.accepted),
-                        ("rejected", self.rejected),
-                        ("degraded", self.degraded),
-                        ("exhausted", self.exhausted),
-                        ("errors", self.errors),
-                        ("genuine", self.genuine),
-                        ("genuine_accepted", self.genuine_accepted),
-                        ("impostor", self.impostor),
-                        ("impostor_accepted", self.impostor_accepted),
-                        ("faulty", self.faulty),
-                    ]
-                    .into_iter()
-                    .map(|(k, v)| (k.to_string(), Value::Number(v as f64)))
-                    .collect(),
-                ),
-            ),
-            (
-                "rates".to_string(),
-                Value::Object(vec![
-                    ("reject".to_string(), num(self.reject_rate())),
-                    ("degraded".to_string(), num(self.degraded_rate())),
-                ]),
-            ),
-            ("monitor".to_string(), self.monitor.clone()),
-        ])
+        Value::Object(crate::gate::numbers(&[
+            ("requests", self.requests as f64),
+            ("wall_seconds", self.wall_seconds),
+            ("qps", self.qps),
+            ("latency_seconds.p50", self.latency.p50),
+            ("latency_seconds.p99", self.latency.p99),
+            ("latency_seconds.p999", self.latency.p999),
+            ("latency_seconds.mean", self.latency.mean),
+            ("latency_seconds.max", self.latency.max),
+            ("counts.accepted", self.accepted as f64),
+            ("counts.rejected", self.rejected as f64),
+            ("counts.degraded", self.degraded as f64),
+            ("counts.exhausted", self.exhausted as f64),
+            ("counts.errors", self.errors as f64),
+            ("counts.genuine", self.genuine as f64),
+            ("counts.genuine_accepted", self.genuine_accepted as f64),
+            ("counts.impostor", self.impostor as f64),
+            ("counts.impostor_accepted", self.impostor_accepted as f64),
+            ("counts.faulty", self.faulty as f64),
+            ("rates.reject", self.reject_rate()),
+            ("rates.degraded", self.degraded_rate()),
+        ]))
     }
 }
 
@@ -651,277 +619,6 @@ pub fn trace_attribution(monitor: &Monitor, top_k: usize) -> Value {
     mandipass_telemetry::attribution_report(&monitor.traces(), top_k)
 }
 
-/// Assembles the full schema-versioned `BENCH_serve.json` document from
-/// the two transport runs.
-pub fn bench_serve_document(
-    scale_description: &str,
-    config: &LoadConfig,
-    workers: usize,
-    in_process: &LoadReport,
-    tcp: &LoadReport,
-) -> Value {
-    Value::Object(vec![
-        (
-            "schema".to_string(),
-            Value::String(BENCH_SERVE_SCHEMA.to_string()),
-        ),
-        (
-            "scale".to_string(),
-            Value::String(scale_description.to_string()),
-        ),
-        ("config".to_string(), config.serialise()),
-        ("workers".to_string(), Value::Number(workers as f64)),
-        ("in_process".to_string(), in_process.to_json()),
-        ("tcp".to_string(), tcp.to_json()),
-    ])
-}
-
-fn get_num(doc: &Value, path: &[&str]) -> Result<f64, String> {
-    let mut node = doc;
-    for key in path {
-        node = node
-            .get(key)
-            .ok_or_else(|| format!("missing field \"{}\"", path.join(".")))?;
-    }
-    node.as_f64()
-        .ok_or_else(|| format!("field \"{}\" is not a number", path.join(".")))
-}
-
-fn validate_section(doc: &Value, section: &str) -> Result<(), String> {
-    let sec = doc
-        .get(section)
-        .ok_or_else(|| format!("missing section \"{section}\""))?;
-    let requests = get_num(sec, &["requests"])?;
-    if requests <= 0.0 {
-        return Err(format!("{section}: zero requests completed"));
-    }
-    let qps = get_num(sec, &["qps"])?;
-    if qps.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
-        return Err(format!("{section}: qps {qps} not positive"));
-    }
-    let p50 = get_num(sec, &["latency_seconds", "p50"])?;
-    let p99 = get_num(sec, &["latency_seconds", "p99"])?;
-    let p999 = get_num(sec, &["latency_seconds", "p999"])?;
-    if !(p50 > 0.0 && p50 <= p99 && p99 <= p999) {
-        return Err(format!(
-            "{section}: latency quantiles disordered (p50 {p50}, p99 {p99}, p999 {p999})"
-        ));
-    }
-    for counter in [
-        "accepted",
-        "rejected",
-        "degraded",
-        "exhausted",
-        "errors",
-        "genuine",
-        "impostor",
-        "faulty",
-    ] {
-        let v = get_num(sec, &["counts", counter])?;
-        if v < 0.0 || v.fract() != 0.0 {
-            return Err(format!(
-                "{section}: count \"{counter}\" = {v} is not a non-negative integer"
-            ));
-        }
-    }
-    for rate in ["reject", "degraded"] {
-        let v = get_num(sec, &["rates", rate])?;
-        if !(0.0..=1.0).contains(&v) {
-            return Err(format!("{section}: rate \"{rate}\" = {v} outside [0, 1]"));
-        }
-    }
-    let errors = get_num(sec, &["counts", "errors"])?;
-    if errors > 0.0 {
-        return Err(format!("{section}: {errors} transport/protocol errors"));
-    }
-    sec.get("monitor")
-        .and_then(|m| m.get("status"))
-        .and_then(Value::as_str)
-        .ok_or_else(|| format!("{section}: missing monitor.status"))?;
-    Ok(())
-}
-
-/// Validates one `BENCH_serve.json` document against the v1 schema.
-///
-/// # Errors
-///
-/// Returns the first violated constraint, with its field path.
-pub fn validate_bench_serve(doc: &Value) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing \"schema\" tag")?;
-    if schema != BENCH_SERVE_SCHEMA {
-        return Err(format!(
-            "schema \"{schema}\" is not \"{BENCH_SERVE_SCHEMA}\""
-        ));
-    }
-    doc.get("scale")
-        .and_then(Value::as_str)
-        .ok_or("missing \"scale\" description")?;
-    for field in ["clients", "requests_per_client", "seed", "fault_intensity"] {
-        get_num(doc, &["config", field])?;
-    }
-    let workers = get_num(doc, &["workers"])?;
-    if workers < 1.0 {
-        return Err(format!("workers {workers} < 1"));
-    }
-    validate_section(doc, "in_process")?;
-    validate_section(doc, "tcp")?;
-    Ok(())
-}
-
-/// Compares a fresh document against a committed baseline and fails on
-/// regressions beyond the given ratios: p99 latency may grow to at most
-/// `max_p99_ratio`× the baseline, QPS may shrink to no less than
-/// `min_qps_ratio`× the baseline. Both sections are gated.
-///
-/// # Errors
-///
-/// Returns every violated gate, one per line.
-pub fn compare_bench_serve(
-    fresh: &Value,
-    baseline: &Value,
-    max_p99_ratio: f64,
-    min_qps_ratio: f64,
-) -> Result<(), String> {
-    let mut violations = Vec::new();
-    for section in ["in_process", "tcp"] {
-        let fresh_p99 = get_num(fresh, &[section, "latency_seconds", "p99"])?;
-        let base_p99 = get_num(baseline, &[section, "latency_seconds", "p99"])?;
-        if fresh_p99 > base_p99 * max_p99_ratio {
-            violations.push(format!(
-                "{section}: p99 {fresh_p99:.6}s exceeds {max_p99_ratio}x baseline {base_p99:.6}s"
-            ));
-        }
-        let fresh_qps = get_num(fresh, &[section, "qps"])?;
-        let base_qps = get_num(baseline, &[section, "qps"])?;
-        if fresh_qps < base_qps * min_qps_ratio {
-            violations.push(format!(
-                "{section}: qps {fresh_qps:.1} below {min_qps_ratio}x baseline {base_qps:.1}"
-            ));
-        }
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations.join("\n"))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Hot-path bench document: per-verify forward latency of the naive
-// tensor-per-layer oracle vs the zero-alloc im2col+GEMM fast path, with
-// parity and arena steady-state facts. The speedup gate compares the
-// FRESH document's own same-run ratio against a floor, so the gate is
-// machine-independent (both numerator and denominator come from the
-// same binary on the same box in the same run).
-// ---------------------------------------------------------------------
-
-/// Schema tag of the hot-path bench artifact.
-pub const BENCH_HOTPATH_SCHEMA: &str = "mandipass.bench.hotpath/v1";
-
-/// Validates one `BENCH_hotpath.json` document against the v1 schema.
-///
-/// # Errors
-///
-/// Returns the first violated constraint, with its field path.
-pub fn validate_bench_hotpath(doc: &Value) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing \"schema\" tag")?;
-    if schema != BENCH_HOTPATH_SCHEMA {
-        return Err(format!(
-            "schema \"{schema}\" is not \"{BENCH_HOTPATH_SCHEMA}\""
-        ));
-    }
-    doc.get("scale")
-        .and_then(Value::as_str)
-        .ok_or("missing \"scale\" description")?;
-    for field in ["iters", "batch"] {
-        if get_num(doc, &[field])? < 1.0 {
-            return Err(format!("{field} must be at least 1"));
-        }
-    }
-    for field in ["naive", "fast", "fused", "batched_per_probe"] {
-        let v = get_num(doc, &["per_verify_seconds", field])?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(format!("per_verify_seconds.{field} {v} not positive"));
-        }
-    }
-    for field in ["fast", "fused", "batched"] {
-        let v = get_num(doc, &["speedup", field])?;
-        if !(v.is_finite() && v > 0.0) {
-            return Err(format!("speedup.{field} {v} not positive"));
-        }
-    }
-    match doc.get("parity").and_then(|p| p.get("fast_bitwise")) {
-        Some(Value::Bool(_)) => {}
-        _ => return Err("missing parity.fast_bitwise bool".to_string()),
-    }
-    get_num(doc, &["parity", "fused_max_abs_err"])?;
-    for field in ["steady_growth_events", "high_water_bytes", "pooled_buffers"] {
-        if get_num(doc, &["arena", field])? < 0.0 {
-            return Err(format!("arena.{field} negative"));
-        }
-    }
-    for field in ["im2col_mean_ns", "gemm_mean_ns", "bias_act_mean_ns"] {
-        get_num(doc, &["stages", field])?;
-    }
-    Ok(())
-}
-
-/// Gates a fresh hot-path document: its own same-run fast-path speedup
-/// must reach `min_speedup`× the naive oracle, and must not fall below
-/// `min_vs_baseline`× the baseline document's speedup (a ratio of
-/// ratios, so still machine-independent). Parity and the steady-state
-/// zero-allocation claim are hard gates, not ratios.
-///
-/// # Errors
-///
-/// Returns every violated gate, one per line.
-pub fn compare_bench_hotpath(
-    fresh: &Value,
-    baseline: &Value,
-    min_speedup: f64,
-    min_vs_baseline: f64,
-) -> Result<(), String> {
-    let mut violations = Vec::new();
-    let fresh_speedup = get_num(fresh, &["speedup", "fast"])?;
-    if fresh_speedup < min_speedup {
-        violations.push(format!(
-            "fast-path speedup {fresh_speedup:.2}x below the {min_speedup}x floor"
-        ));
-    }
-    let base_speedup = get_num(baseline, &["speedup", "fast"])?;
-    if fresh_speedup < base_speedup * min_vs_baseline {
-        violations.push(format!(
-            "fast-path speedup {fresh_speedup:.2}x below {min_vs_baseline}x baseline {base_speedup:.2}x"
-        ));
-    }
-    if fresh.get("parity").and_then(|p| p.get("fast_bitwise")) != Some(&Value::Bool(true)) {
-        violations.push("fast path lost bit-exact parity with the naive oracle".to_string());
-    }
-    let fused_err = get_num(fresh, &["parity", "fused_max_abs_err"])?;
-    if !(fused_err.is_finite() && fused_err < 1e-5) {
-        violations.push(format!(
-            "fused parity error {fused_err:e} outside the 1e-5 envelope"
-        ));
-    }
-    let growth = get_num(fresh, &["arena", "steady_growth_events"])?;
-    if growth != 0.0 {
-        violations.push(format!(
-            "arena grew {growth} times in the steady-state window (zero-alloc claim broken)"
-        ));
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations.join("\n"))
-    }
-}
-
 // ---------------------------------------------------------------------
 // Open-loop (arrival-rate-driven) generation and the overload bench
 // document. A closed-loop generator can never overload a server — each
@@ -931,9 +628,6 @@ pub fn compare_bench_hotpath(
 // only way to drive offered load past capacity and observe the shed
 // path, the bounded queue, and saturated tail latency.
 // ---------------------------------------------------------------------
-
-/// Schema tag of the overload bench artifact.
-pub const BENCH_OVERLOAD_SCHEMA: &str = "mandipass.bench.overload/v1";
 
 /// One open-loop run: `total_requests` arrivals at `rate_per_sec`,
 /// issued by `senders` threads (thread `s` owns indices `i ≡ s mod
@@ -1023,53 +717,24 @@ impl OpenLoopReport {
             + self.transport_errors
     }
 
-    /// One sweep-point JSON section.
+    /// One sweep point: the `overload.*` metrics of `BENCH_overload.json`.
     pub fn to_json(&self) -> Value {
-        let num = |v: f64| {
-            if v.is_finite() {
-                Value::Number(v)
-            } else {
-                Value::Null
-            }
-        };
-        Value::Object(vec![
-            ("offered_rate".to_string(), num(self.offered_rate)),
-            ("achieved_rate".to_string(), num(self.achieved_rate)),
-            ("wall_seconds".to_string(), num(self.wall_seconds)),
-            ("total".to_string(), Value::Number(self.total() as f64)),
-            ("served".to_string(), Value::Number(self.served as f64)),
-            (
-                "shed".to_string(),
-                Value::Object(vec![
-                    (
-                        "overloaded".to_string(),
-                        Value::Number(self.shed_overloaded as f64),
-                    ),
-                    (
-                        "deadline".to_string(),
-                        Value::Number(self.shed_deadline as f64),
-                    ),
-                    (
-                        "shutting_down".to_string(),
-                        Value::Number(self.shed_shutdown as f64),
-                    ),
-                ]),
-            ),
-            (
-                "transport_errors".to_string(),
-                Value::Number(self.transport_errors as f64),
-            ),
-            ("goodput".to_string(), num(self.goodput)),
-            (
-                "latency_seconds".to_string(),
-                Value::Object(vec![
-                    ("p50".to_string(), num(self.latency.p50)),
-                    ("p99".to_string(), num(self.latency.p99)),
-                    ("mean".to_string(), num(self.latency.mean)),
-                    ("max".to_string(), num(self.latency.max)),
-                ]),
-            ),
-        ])
+        Value::Object(crate::gate::numbers(&[
+            ("offered_rate", self.offered_rate),
+            ("achieved_rate", self.achieved_rate),
+            ("wall_seconds", self.wall_seconds),
+            ("total", self.total() as f64),
+            ("served", self.served as f64),
+            ("shed.overloaded", self.shed_overloaded as f64),
+            ("shed.deadline", self.shed_deadline as f64),
+            ("shed.shutting_down", self.shed_shutdown as f64),
+            ("transport_errors", self.transport_errors as f64),
+            ("goodput", self.goodput),
+            ("latency_seconds.p50", self.latency.p50),
+            ("latency_seconds.p99", self.latency.p99),
+            ("latency_seconds.mean", self.latency.mean),
+            ("latency_seconds.max", self.latency.max),
+        ]))
     }
 }
 
@@ -1235,254 +900,11 @@ pub fn run_open_loop(
     }
 }
 
-/// Validates one `BENCH_overload.json` document against the v1 schema,
-/// including the overload acceptance gates: saturation ≥ 2× capacity,
-/// zero transport errors, admitted p99 within 5× the unsaturated p99,
-/// zero parity mismatches, and a drill that opened, recovered, and
-/// repeated identically.
-///
-/// # Errors
-///
-/// Returns the first violated constraint, with its field path.
-pub fn validate_bench_overload(doc: &Value) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing \"schema\" tag")?;
-    if schema != BENCH_OVERLOAD_SCHEMA {
-        return Err(format!(
-            "schema \"{schema}\" is not \"{BENCH_OVERLOAD_SCHEMA}\""
-        ));
-    }
-    doc.get("scale")
-        .and_then(Value::as_str)
-        .ok_or("missing \"scale\" description")?;
-    get_num(doc, &["seed"])?;
-    let capacity_qps = get_num(doc, &["capacity", "qps"])?;
-    let capacity_p99 = get_num(doc, &["capacity", "p99_seconds"])?;
-    if capacity_qps <= 0.0 || capacity_p99 <= 0.0 {
-        return Err(format!(
-            "capacity not positive (qps {capacity_qps}, p99 {capacity_p99})"
-        ));
-    }
-    let sweep = match doc.get("sweep") {
-        Some(Value::Array(points)) if !points.is_empty() => points,
-        _ => return Err("missing or empty \"sweep\" array".to_string()),
-    };
-    for (i, point) in sweep.iter().enumerate() {
-        for field in ["offered_rate", "goodput", "served", "total"] {
-            get_num(point, &[field]).map_err(|e| format!("sweep[{i}]: {e}"))?;
-        }
-    }
-    let saturation = get_num(doc, &["overload", "saturation_ratio"])?;
-    if saturation < 2.0 {
-        return Err(format!(
-            "overload.saturation_ratio {saturation:.2} < 2.0: offered load did not reach 2x capacity"
-        ));
-    }
-    let transport = get_num(doc, &["overload", "transport_errors"])?;
-    if transport != 0.0 {
-        return Err(format!(
-            "overload.transport_errors = {transport}: sheds must be typed replies, not hang-ups"
-        ));
-    }
-    let served = get_num(doc, &["overload", "served"])?;
-    if served <= 0.0 {
-        return Err("overload.served = 0: saturation starved every request".to_string());
-    }
-    let shed = get_num(doc, &["overload", "shed", "overloaded"])?;
-    if shed <= 0.0 {
-        return Err(
-            "overload.shed.overloaded = 0: 2x offered load never hit the queue bound".to_string(),
-        );
-    }
-    let p99_ratio = get_num(doc, &["overload", "p99_ratio_vs_unsaturated"])?;
-    if p99_ratio > 5.0 {
-        return Err(format!(
-            "overload.p99_ratio_vs_unsaturated {p99_ratio:.2} > 5: the bounded queue failed to cap tail latency"
-        ));
-    }
-    let parity_checked = get_num(doc, &["overload", "parity_checked"])?;
-    let parity_mismatches = get_num(doc, &["overload", "parity_mismatches"])?;
-    if parity_checked <= 0.0 {
-        return Err("overload.parity_checked = 0: no admitted request was compared".to_string());
-    }
-    if parity_mismatches != 0.0 {
-        return Err(format!(
-            "overload.parity_mismatches = {parity_mismatches}: admitted decisions drifted from the closed-loop run"
-        ));
-    }
-    let transitions = match doc.get("drill").and_then(|d| d.get("transitions")) {
-        Some(Value::Array(t)) => t,
-        _ => return Err("missing drill.transitions array".to_string()),
-    };
-    let labels: Vec<&str> = transitions.iter().filter_map(Value::as_str).collect();
-    if !labels.iter().any(|l| l.contains("->open:")) {
-        return Err(format!("drill never opened the breaker: {labels:?}"));
-    }
-    if !labels
-        .iter()
-        .any(|l| l.contains("->closed:probes_recovered"))
-    {
-        return Err(format!("drill never recovered the breaker: {labels:?}"));
-    }
-    match doc.get("drill").and_then(|d| d.get("runs_identical")) {
-        Some(Value::Bool(true)) => {}
-        other => {
-            return Err(format!(
-                "drill.runs_identical is {other:?}: two same-seed drills must match exactly"
-            ))
-        }
-    }
-    Ok(())
-}
-
-/// Compares a fresh overload document against a committed baseline:
-/// goodput under saturation may shrink to no less than
-/// `min_goodput_ratio`× the baseline's, and saturated p99 may grow to
-/// at most `max_p99_ratio`× the baseline's.
-///
-/// # Errors
-///
-/// Returns every violated gate, one per line.
-pub fn compare_bench_overload(
-    fresh: &Value,
-    baseline: &Value,
-    max_p99_ratio: f64,
-    min_goodput_ratio: f64,
-) -> Result<(), String> {
-    let mut violations = Vec::new();
-    let fresh_goodput = get_num(fresh, &["overload", "goodput"])?;
-    let base_goodput = get_num(baseline, &["overload", "goodput"])?;
-    if fresh_goodput < base_goodput * min_goodput_ratio {
-        violations.push(format!(
-            "overload: goodput {fresh_goodput:.1} below {min_goodput_ratio}x baseline {base_goodput:.1}"
-        ));
-    }
-    let fresh_p99 = get_num(fresh, &["overload", "latency_seconds", "p99"])?;
-    let base_p99 = get_num(baseline, &["overload", "latency_seconds", "p99"])?;
-    if fresh_p99 > base_p99 * max_p99_ratio {
-        violations.push(format!(
-            "overload: saturated p99 {fresh_p99:.6}s exceeds {max_p99_ratio}x baseline {base_p99:.6}s"
-        ));
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations.join("\n"))
-    }
-}
-
-// ---------------------------------------------------------------------
-// Trace bench artifact: schema validation and the baseline gate for
-// `BENCH_trace.json` (produced by `exp_trace`), closing the loop that
-// previously left the trace artifact written but ungated in CI.
-// ---------------------------------------------------------------------
-
-/// Schema tag of the trace bench artifact.
-pub const BENCH_TRACE_SCHEMA: &str = "mandipass.bench.trace/v1";
-
-/// Stages every trace document must attribute (queue_wait is sparse by
-/// design — only queued requests record it — so it is not required).
-const TRACE_REQUIRED_STAGES: [&str; 4] = ["total", "decode", "verify", "write"];
-
-/// Validates one `BENCH_trace.json` document against the v1 schema:
-/// the tag, a positive request count, per-stage attribution with
-/// ordered quantiles for every required stage, and every acceptance
-/// check recorded as passing.
-///
-/// # Errors
-///
-/// Returns the first violated constraint, with its field path.
-pub fn validate_bench_trace(doc: &Value) -> Result<(), String> {
-    let schema = doc
-        .get("schema")
-        .and_then(Value::as_str)
-        .ok_or("missing \"schema\" tag")?;
-    if schema != BENCH_TRACE_SCHEMA {
-        return Err(format!(
-            "schema \"{schema}\" is not \"{BENCH_TRACE_SCHEMA}\""
-        ));
-    }
-    doc.get("scale")
-        .and_then(Value::as_str)
-        .ok_or("missing \"scale\" description")?;
-    let requests = get_num(doc, &["requests"])?;
-    if requests < 1.0 || requests.fract() != 0.0 {
-        return Err(format!("requests {requests} is not a positive integer"));
-    }
-    let trace_count = get_num(doc, &["attribution", "trace_count"])?;
-    if trace_count < 1.0 {
-        return Err("attribution.trace_count is zero — nothing was traced".to_string());
-    }
-    for stage in TRACE_REQUIRED_STAGES {
-        let count = get_num(doc, &["attribution", "stages", stage, "count"])?;
-        if count < 1.0 {
-            return Err(format!("attribution stage \"{stage}\" has zero samples"));
-        }
-        let p50 = get_num(doc, &["attribution", "stages", stage, "p50_nanos"])?;
-        let p99 = get_num(doc, &["attribution", "stages", stage, "p99_nanos"])?;
-        if !(p50 >= 0.0 && p50 <= p99) {
-            return Err(format!(
-                "attribution stage \"{stage}\": quantiles disordered (p50 {p50}, p99 {p99})"
-            ));
-        }
-    }
-    match doc.get("checks") {
-        Some(Value::Object(checks)) if !checks.is_empty() => {
-            for (name, value) in checks {
-                if value.as_bool() != Some(true) {
-                    return Err(format!("acceptance check \"{name}\" did not pass"));
-                }
-            }
-        }
-        _ => return Err("missing \"checks\" section".to_string()),
-    }
-    Ok(())
-}
-
-/// Compares a fresh trace document against a committed baseline:
-/// verify-stage and end-to-end p99 attribution may grow to at most
-/// `max_p99_ratio`× the baseline, and the fresh run must cover at least
-/// `min_requests_ratio`× the baseline's requests (a shrunken run would
-/// make the latency gate meaningless).
-///
-/// # Errors
-///
-/// Returns every violated gate, one per line.
-pub fn compare_bench_trace(
-    fresh: &Value,
-    baseline: &Value,
-    max_p99_ratio: f64,
-    min_requests_ratio: f64,
-) -> Result<(), String> {
-    let mut violations = Vec::new();
-    for stage in ["verify", "total"] {
-        let fresh_p99 = get_num(fresh, &["attribution", "stages", stage, "p99_nanos"])?;
-        let base_p99 = get_num(baseline, &["attribution", "stages", stage, "p99_nanos"])?;
-        if fresh_p99 > base_p99 * max_p99_ratio {
-            violations.push(format!(
-                "attribution.{stage}: p99 {fresh_p99:.0}ns exceeds {max_p99_ratio}x baseline {base_p99:.0}ns"
-            ));
-        }
-    }
-    let fresh_requests = get_num(fresh, &["requests"])?;
-    let base_requests = get_num(baseline, &["requests"])?;
-    if fresh_requests < base_requests * min_requests_ratio {
-        violations.push(format!(
-            "requests {fresh_requests} below {min_requests_ratio}x baseline {base_requests}"
-        ));
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations.join("\n"))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{overload_document, serve_document, trace_document};
+    use crate::gate::{check, compare};
 
     fn fake_report(qps: f64, p99: f64) -> LoadReport {
         LoadReport {
@@ -1524,13 +946,19 @@ mod tests {
     }
 
     fn fake_doc(qps: f64, p99: f64) -> Value {
-        bench_serve_document(
+        serve_document(
             "test scale",
             &LoadConfig::default(),
             4,
             &fake_report(qps, p99),
             &fake_report(qps * 0.8, p99 * 1.2),
+            None,
         )
+    }
+
+    /// `doc` with one metric replaced.
+    fn with_metric(doc: &Value, name: &str, value: Value) -> Value {
+        patch(doc, &["metrics", name], value)
     }
 
     #[test]
@@ -1538,54 +966,55 @@ mod tests {
         let doc = fake_doc(500.0, 0.010);
         let text = doc.to_json();
         let parsed = mandipass_util::json::parse(&text).unwrap();
-        validate_bench_serve(&parsed).unwrap();
+        check(&parsed).unwrap();
     }
 
     #[test]
     fn validator_names_the_violated_field() {
         let mut doc = fake_doc(500.0, 0.010);
         if let Value::Object(members) = &mut doc {
-            members.retain(|(k, _)| k != "tcp");
+            for (key, value) in members.iter_mut() {
+                if let (true, Value::Object(metrics)) = (key == "metrics", value) {
+                    metrics.retain(|(k, _)| !k.starts_with("tcp."));
+                }
+            }
         }
-        let err = validate_bench_serve(&doc).unwrap_err();
+        let err = check(&doc).unwrap_err();
         assert!(err.contains("tcp"), "{err}");
 
         let bad_schema = Value::Object(vec![(
             "schema".to_string(),
             Value::String("something/v9".to_string()),
         )]);
-        assert!(validate_bench_serve(&bad_schema)
-            .unwrap_err()
-            .contains("v9"));
+        assert!(check(&bad_schema).unwrap_err().contains("v9"));
     }
 
     #[test]
     fn validator_rejects_disordered_quantiles_and_errors() {
         let mut report = fake_report(100.0, 0.01);
         report.latency.p999 = report.latency.p50 / 2.0;
-        let doc = bench_serve_document("s", &LoadConfig::default(), 2, &report, &report);
-        assert!(validate_bench_serve(&doc)
-            .unwrap_err()
-            .contains("disordered"));
+        let doc = serve_document("s", &LoadConfig::default(), 2, &report, &report, None);
+        let err = check(&doc).unwrap_err();
+        assert!(err.contains("x tcp.latency_seconds.p999"), "{err}");
 
         let mut report = fake_report(100.0, 0.01);
         report.errors = 3;
-        let doc = bench_serve_document("s", &LoadConfig::default(), 2, &report, &report);
-        assert!(validate_bench_serve(&doc).unwrap_err().contains("errors"));
+        let doc = serve_document("s", &LoadConfig::default(), 2, &report, &report, None);
+        assert!(check(&doc).unwrap_err().contains("counts.errors"));
     }
 
     #[test]
     fn comparator_gates_p99_and_qps() {
         let baseline = fake_doc(1000.0, 0.010);
-        // Healthy: same perf passes with generous ratios.
-        compare_bench_serve(&fake_doc(1000.0, 0.010), &baseline, 2.0, 0.5).unwrap();
+        // Healthy: same perf passes within the baseline's envelope.
+        compare(&fake_doc(1000.0, 0.010), &baseline).unwrap();
         // Slightly worse but inside the envelope passes.
-        compare_bench_serve(&fake_doc(600.0, 0.018), &baseline, 2.0, 0.5).unwrap();
+        compare(&fake_doc(600.0, 0.018), &baseline).unwrap();
         // p99 blow-up fails and is named.
-        let err = compare_bench_serve(&fake_doc(1000.0, 0.050), &baseline, 2.0, 0.5).unwrap_err();
+        let err = compare(&fake_doc(1000.0, 0.050), &baseline).unwrap_err();
         assert!(err.contains("p99"), "{err}");
         // QPS collapse fails.
-        let err = compare_bench_serve(&fake_doc(100.0, 0.010), &baseline, 2.0, 0.5).unwrap_err();
+        let err = compare(&fake_doc(100.0, 0.010), &baseline).unwrap_err();
         assert!(err.contains("qps"), "{err}");
     }
 
@@ -1687,13 +1116,7 @@ mod tests {
         overload.push(("p99_ratio_vs_unsaturated".to_string(), Value::Number(1.6)));
         overload.push(("parity_checked".to_string(), Value::Number(180.0)));
         overload.push(("parity_mismatches".to_string(), Value::Number(0.0)));
-        Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String(BENCH_OVERLOAD_SCHEMA.to_string()),
-            ),
-            ("scale".to_string(), Value::String("test".to_string())),
-            ("seed".to_string(), Value::Number(7.0)),
+        let metrics = Value::Object(vec![
             (
                 "capacity".to_string(),
                 Value::Object(vec![
@@ -1701,26 +1124,21 @@ mod tests {
                     ("p99_seconds".to_string(), Value::Number(0.005)),
                 ]),
             ),
-            (
-                "sweep".to_string(),
-                Value::Array(vec![point(160.0, 160.0, 0.0), point(440.0, 180.0, 260.0)]),
-            ),
             ("overload".to_string(), Value::Object(overload)),
             (
                 "drill".to_string(),
                 Value::Object(vec![
-                    (
-                        "transitions".to_string(),
-                        Value::Array(vec![
-                            Value::String("closed->open:error_rate".to_string()),
-                            Value::String("open->half_open:machine".to_string()),
-                            Value::String("half_open->closed:probes_recovered".to_string()),
-                        ]),
-                    ),
+                    ("opened".to_string(), Value::Bool(true)),
+                    ("recovered".to_string(), Value::Bool(true)),
                     ("runs_identical".to_string(), Value::Bool(true)),
                 ]),
             ),
-        ])
+        ]);
+        let detail = Value::Object(vec![(
+            "sweep".to_string(),
+            Value::Array(vec![point(160.0, 160.0, 0.0), point(440.0, 180.0, 260.0)]),
+        )]);
+        overload_document("test", &metrics, detail)
     }
 
     fn patch(doc: &Value, path: &[&str], value: Value) -> Value {
@@ -1749,54 +1167,30 @@ mod tests {
     fn overload_document_round_trips_and_validates() {
         let doc = fake_overload_doc();
         let parsed = mandipass_util::json::parse(&doc.to_json()).unwrap();
-        validate_bench_overload(&parsed).unwrap();
+        check(&parsed).unwrap();
     }
 
     #[test]
     fn overload_validator_enforces_every_acceptance_gate() {
         let doc = fake_overload_doc();
-        let cases: Vec<(&[&str], Value, &str)> = vec![
-            (
-                &["overload", "saturation_ratio"],
-                Value::Number(1.5),
-                "saturation",
-            ),
-            (
-                &["overload", "transport_errors"],
-                Value::Number(2.0),
-                "transport",
-            ),
-            (
-                &["overload", "p99_ratio_vs_unsaturated"],
-                Value::Number(9.0),
-                "p99_ratio",
-            ),
-            (
-                &["overload", "parity_mismatches"],
-                Value::Number(1.0),
-                "parity",
-            ),
-            (
-                &["overload", "shed", "overloaded"],
-                Value::Number(0.0),
-                "queue bound",
-            ),
-            (
-                &["drill", "runs_identical"],
-                Value::Bool(false),
-                "identical",
-            ),
-            (
-                &["drill", "transitions"],
-                Value::Array(vec![Value::String("closed->open:error_rate".to_string())]),
-                "recovered",
-            ),
+        let cases: Vec<(&str, Value)> = vec![
+            ("overload.saturation_ratio", Value::Number(1.5)),
+            ("overload.transport_errors", Value::Number(2.0)),
+            ("overload.p99_ratio_vs_unsaturated", Value::Number(9.0)),
+            ("overload.parity_mismatches", Value::Number(1.0)),
+            ("overload.shed.overloaded", Value::Number(0.0)),
+            ("overload.served", Value::Number(0.0)),
+            ("overload.parity_checked", Value::Number(0.0)),
+            ("capacity.qps", Value::Number(0.0)),
+            ("drill.runs_identical", Value::Bool(false)),
+            ("drill.opened", Value::Bool(false)),
+            ("drill.recovered", Value::Bool(false)),
         ];
-        for (path, value, needle) in cases {
-            let err = validate_bench_overload(&patch(&doc, path, value)).unwrap_err();
-            assert!(err.contains(needle), "{path:?}: {err}");
+        for (metric, value) in cases {
+            let err = check(&with_metric(&doc, metric, value)).unwrap_err();
+            assert!(err.contains(metric), "{metric}: {err}");
         }
-        let err = validate_bench_overload(&patch(
+        let err = check(&patch(
             &doc,
             &["schema"],
             Value::String("mandipass.bench.overload/v9".to_string()),
@@ -1808,17 +1202,15 @@ mod tests {
     #[test]
     fn overload_comparator_gates_goodput_and_saturated_p99() {
         let baseline = fake_overload_doc();
-        compare_bench_overload(&baseline, &baseline, 2.0, 0.5).unwrap();
-        let slow = patch(
+        compare(&baseline, &baseline).unwrap();
+        let slow = with_metric(
             &baseline,
-            &["overload", "latency_seconds", "p99"],
+            "overload.latency_seconds.p99",
             Value::Number(0.1),
         );
-        assert!(compare_bench_overload(&slow, &baseline, 2.0, 0.5)
-            .unwrap_err()
-            .contains("p99"));
-        let starved = patch(&baseline, &["overload", "goodput"], Value::Number(10.0));
-        assert!(compare_bench_overload(&starved, &baseline, 2.0, 0.5)
+        assert!(compare(&slow, &baseline).unwrap_err().contains("p99"));
+        let starved = with_metric(&baseline, "overload.goodput", Value::Number(10.0));
+        assert!(compare(&starved, &baseline)
             .unwrap_err()
             .contains("goodput"));
     }
@@ -1833,15 +1225,7 @@ mod tests {
                 ("max_nanos".to_string(), Value::Number(p99 * 1.2)),
             ])
         };
-        Value::Object(vec![
-            (
-                "schema".to_string(),
-                Value::String(BENCH_TRACE_SCHEMA.to_string()),
-            ),
-            (
-                "scale".to_string(),
-                Value::String("4 clients x 16 requests".to_string()),
-            ),
+        let metrics = Value::Object(vec![
             ("requests".to_string(), Value::Number(64.0)),
             ("echoed_ids".to_string(), Value::Number(64.0)),
             (
@@ -1858,7 +1242,6 @@ mod tests {
                             ("write".to_string(), stage(66.0, 3.1e6, 1.3e7)),
                         ]),
                     ),
-                    ("slowest".to_string(), Value::Array(Vec::new())),
                 ]),
             ),
             (
@@ -1868,35 +1251,30 @@ mod tests {
                     ("sampling_bit_identical".to_string(), Value::Bool(true)),
                 ]),
             ),
-        ])
+        ]);
+        trace_document("4 clients x 16 requests", &metrics)
     }
 
     #[test]
     fn trace_validator_accepts_the_real_shape_and_names_failures() {
         let doc = fake_trace_doc();
-        validate_bench_trace(&doc).unwrap_or_else(|e| panic!("{e}"));
+        check(&doc).unwrap_or_else(|e| panic!("{e}"));
         let wrong_schema = patch(&doc, &["schema"], Value::String("v9".to_string()));
-        assert!(validate_bench_trace(&wrong_schema)
-            .unwrap_err()
-            .contains("v9"));
-        let no_traces = patch(&doc, &["attribution", "trace_count"], Value::Number(0.0));
-        assert!(validate_bench_trace(&no_traces)
-            .unwrap_err()
-            .contains("trace_count"));
-        let disordered = patch(
+        assert!(check(&wrong_schema).unwrap_err().contains("v9"));
+        let no_traces = with_metric(&doc, "attribution.trace_count", Value::Number(0.0));
+        assert!(check(&no_traces).unwrap_err().contains("trace_count"));
+        let disordered = with_metric(
             &doc,
-            &["attribution", "stages", "verify", "p50_nanos"],
+            "attribution.stages.verify.p50_nanos",
             Value::Number(9.9e7),
         );
-        assert!(validate_bench_trace(&disordered)
-            .unwrap_err()
-            .contains("disordered"));
-        let failed_check = patch(
-            &doc,
-            &["checks", "sampling_bit_identical"],
-            Value::Bool(false),
+        let err = check(&disordered).unwrap_err();
+        assert!(
+            err.contains("x attribution.stages.verify.p99_nanos"),
+            "{err}"
         );
-        assert!(validate_bench_trace(&failed_check)
+        let failed_check = with_metric(&doc, "checks.sampling_bit_identical", Value::Bool(false));
+        assert!(check(&failed_check)
             .unwrap_err()
             .contains("sampling_bit_identical"));
     }
@@ -1904,17 +1282,15 @@ mod tests {
     #[test]
     fn trace_comparator_gates_verify_p99_and_request_coverage() {
         let baseline = fake_trace_doc();
-        compare_bench_trace(&baseline, &baseline, 2.0, 0.5).unwrap_or_else(|e| panic!("{e}"));
-        let slow = patch(
+        compare(&baseline, &baseline).unwrap_or_else(|e| panic!("{e}"));
+        let slow = with_metric(
             &baseline,
-            &["attribution", "stages", "verify", "p99_nanos"],
+            "attribution.stages.verify.p99_nanos",
             Value::Number(9.0e7),
         );
-        assert!(compare_bench_trace(&slow, &baseline, 2.0, 0.5)
-            .unwrap_err()
-            .contains("verify"));
-        let shrunk = patch(&baseline, &["requests"], Value::Number(8.0));
-        assert!(compare_bench_trace(&shrunk, &baseline, 2.0, 0.5)
+        assert!(compare(&slow, &baseline).unwrap_err().contains("verify"));
+        let shrunk = with_metric(&baseline, "requests", Value::Number(8.0));
+        assert!(compare(&shrunk, &baseline)
             .unwrap_err()
             .contains("requests"));
     }

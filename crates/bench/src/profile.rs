@@ -5,8 +5,8 @@
 //! shape: `{"unit", "frames": {path: {count, total_nanos, self_nanos,
 //! p50_nanos, p99_nanos}}}`) under a top-level `"profile"` key in their
 //! BENCH documents. [`attribute_profiles`] diffs two such summaries and
-//! ranks frames by per-call self-time growth, so when a `check_bench`
-//! ratio gate fails the report names *which frame* regressed instead of
+//! ranks frames by per-call self-time growth, so when `check_bench
+//! compare` fails the report names *which frame* regressed instead of
 //! just that p99 moved.
 
 use mandipass_util::json::Value;
@@ -154,7 +154,7 @@ mod tests {
             .collect::<Vec<_>>()
             .join(",");
         parse(&format!(
-            "{{\"schema\":\"mandipass.bench.hotpath/v1\",\"profile\":{{\"unit\":\"nanos\",\"frames\":{{{body}}}}}}}"
+            "{{\"schema\":\"mandipass.bench/v2\",\"profile\":{{\"unit\":\"nanos\",\"frames\":{{{body}}}}}}}"
         ))
         .unwrap_or_else(|e| panic!("{e}"))
     }

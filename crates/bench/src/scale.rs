@@ -10,10 +10,54 @@
 //! * `MANDIPASS_PROBES` — probes per held-out user (default 30),
 //! * `MANDIPASS_SECONDS` — training seconds per hired person (default 12),
 //! * `MANDIPASS_EPOCHS` — training epochs (default 14),
-//! * `MANDIPASS_SEED` — master seed (default 2021, the paper's year).
+//! * `MANDIPASS_SEED` — master seed (default 2021, the paper's year),
+//! * `MANDIPASS_BENCH_SCALE=smoke` — the fixed [`EvalScale::smoke_test`]
+//!   scale every committed `BENCH_*.baseline.json` is measured at; it
+//!   overrides the variables above.
+//!
+//! A variable that is set but does not parse is an error naming it,
+//! never a silent fall-back to the default.
+
+use std::str::FromStr;
 
 use mandipass::prelude::PipelineConfig;
 use mandipass::train::TrainingConfig;
+use mandipass::MandiPassError;
+
+/// Reads `name` through `lookup` as a `T`, or `default` when unset.
+///
+/// # Errors
+///
+/// [`MandiPassError::InvalidConfig`] naming the variable when it is set
+/// but does not parse as `T`.
+pub fn var_or<T: FromStr>(
+    lookup: &dyn Fn(&str) -> Option<String>,
+    name: &str,
+    default: T,
+) -> Result<T, MandiPassError> {
+    match lookup(name) {
+        None => Ok(default),
+        Some(raw) => raw.parse().map_err(|_| MandiPassError::InvalidConfig {
+            reason: format!(
+                "{name}={raw:?} is not a valid {}",
+                std::any::type_name::<T>()
+            ),
+        }),
+    }
+}
+
+fn process_env(name: &str) -> Option<String> {
+    std::env::var_os(name).map(|v| v.to_string_lossy().into_owned())
+}
+
+/// Reads the environment variable `name`, or `default` when unset.
+///
+/// # Errors
+///
+/// As [`var_or`].
+pub fn env_or<T: FromStr>(name: &str, default: T) -> Result<T, MandiPassError> {
+    var_or(&process_env, name, default)
+}
 
 /// The scale of one evaluation run.
 #[derive(Debug, Clone, PartialEq)]
@@ -62,29 +106,44 @@ impl Default for EvalScale {
 
 impl EvalScale {
     /// The default scale with environment overrides applied.
+    ///
+    /// # Panics
+    ///
+    /// When a variable is set but malformed, naming it.
     pub fn from_env() -> Self {
-        let mut scale = EvalScale::default();
-        let get = |name: &str| std::env::var(name).ok().and_then(|v| v.parse::<f64>().ok());
-        if let Some(v) = get("MANDIPASS_USERS") {
-            scale.users = v as usize;
+        Self::from_lookup(&process_env).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// The default scale with the overrides `lookup` returns.
+    ///
+    /// # Errors
+    ///
+    /// [`MandiPassError::InvalidConfig`] naming the first malformed
+    /// variable.
+    pub fn from_lookup(lookup: &dyn Fn(&str) -> Option<String>) -> Result<Self, MandiPassError> {
+        match var_or(lookup, "MANDIPASS_BENCH_SCALE", String::new())?.as_str() {
+            "" => {}
+            "smoke" => return Ok(EvalScale::smoke_test()),
+            other => {
+                return Err(MandiPassError::InvalidConfig {
+                    reason: format!(
+                        "MANDIPASS_BENCH_SCALE={other:?}: the only named scale is \"smoke\""
+                    ),
+                })
+            }
         }
-        if let Some(v) = get("MANDIPASS_HELD_OUT") {
-            scale.held_out = v as usize;
-        }
-        if let Some(v) = get("MANDIPASS_PROBES") {
-            scale.probes_per_user = v as usize;
-        }
-        if let Some(v) = get("MANDIPASS_SECONDS") {
-            scale.seconds_per_person = v;
-        }
-        if let Some(v) = get("MANDIPASS_EPOCHS") {
-            scale.epochs = v as usize;
-        }
-        if let Some(v) = get("MANDIPASS_SEED") {
-            scale.seed = v as u64;
-        }
+        let d = EvalScale::default();
+        let mut scale = EvalScale {
+            users: var_or(lookup, "MANDIPASS_USERS", d.users)?,
+            held_out: var_or(lookup, "MANDIPASS_HELD_OUT", d.held_out)?,
+            probes_per_user: var_or(lookup, "MANDIPASS_PROBES", d.probes_per_user)?,
+            seconds_per_person: var_or(lookup, "MANDIPASS_SECONDS", d.seconds_per_person)?,
+            epochs: var_or(lookup, "MANDIPASS_EPOCHS", d.epochs)?,
+            seed: var_or(lookup, "MANDIPASS_SEED", d.seed)?,
+            ..d
+        };
         scale.clamp();
-        scale
+        Ok(scale)
     }
 
     /// A very small scale for integration tests.
@@ -182,6 +241,44 @@ mod tests {
         let c = s.training_config();
         assert_eq!(c.epochs, 4);
         assert_eq!(c.embedding_dim, 64);
+    }
+
+    #[test]
+    fn malformed_variables_fail_with_their_name() {
+        let env = |pairs: &'static [(&'static str, &'static str)]| {
+            move |name: &str| {
+                pairs
+                    .iter()
+                    .find(|(k, _)| *k == name)
+                    .map(|(_, v)| v.to_string())
+            }
+        };
+        let err = EvalScale::from_lookup(&env(&[("MANDIPASS_USERS", "1O")])).unwrap_err();
+        assert!(err.to_string().contains("MANDIPASS_USERS"), "{err}");
+        let err = EvalScale::from_lookup(&env(&[("MANDIPASS_BENCH_SCALE", "smol")])).unwrap_err();
+        assert!(err.to_string().contains("MANDIPASS_BENCH_SCALE"), "{err}");
+        let err = var_or(
+            &env(&[("MANDIPASS_SERVE_CLIENTS", "-4")]),
+            "MANDIPASS_SERVE_CLIENTS",
+            4usize,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("MANDIPASS_SERVE_CLIENTS"), "{err}");
+
+        let smoke = EvalScale::from_lookup(&env(&[
+            ("MANDIPASS_BENCH_SCALE", "smoke"),
+            ("MANDIPASS_USERS", "40"),
+        ]))
+        .unwrap();
+        assert_eq!(smoke, EvalScale::smoke_test());
+        let custom =
+            EvalScale::from_lookup(&env(&[("MANDIPASS_USERS", "20"), ("MANDIPASS_SEED", "7")]))
+                .unwrap();
+        assert_eq!((custom.users, custom.seed), (20, 7));
+        assert_eq!(
+            EvalScale::from_lookup(&env(&[])).unwrap(),
+            EvalScale::default()
+        );
     }
 
     #[test]

@@ -7,14 +7,51 @@
 //! that a disabled profiler adds zero steady-state allocations to the
 //! span fast path, and that attribution charges heap traffic to the
 //! innermost span path.
+//!
+//! The zero-allocation proofs count only the measuring thread: the
+//! process-wide totals also see libtest's own threads, which allocate
+//! whenever they like.
 
+use std::alloc::{GlobalAlloc, Layout};
+use std::cell::Cell;
 use std::sync::{Mutex, MutexGuard};
 
 use mandipass_telemetry as telemetry;
 use mandipass_telemetry::{alloc, profile};
 
+/// `ProfilingAlloc` plus a per-thread count of allocations and bytes.
+struct ThreadCounting(alloc::ProfilingAlloc);
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+}
+
+// SAFETY: forwards every call verbatim to `ProfilingAlloc`; the count
+// lives in a const-initialised thread-local `Cell`, which neither
+// allocates nor touches the returned memory.
+unsafe impl GlobalAlloc for ThreadCounting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        let _ = THREAD_ALLOCS.try_with(|c| {
+            let (allocs, bytes) = c.get();
+            c.set((allocs + 1, bytes + layout.size() as u64));
+        });
+        // SAFETY: the caller's `alloc` contract holds for the inner call.
+        unsafe { self.0.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `self.0.alloc` with this `layout`.
+        unsafe { self.0.dealloc(ptr, layout) }
+    }
+}
+
 #[global_allocator]
-static ALLOC: alloc::ProfilingAlloc = alloc::ProfilingAlloc;
+static ALLOC: ThreadCounting = ThreadCounting(alloc::ProfilingAlloc);
+
+/// Allocations and bytes this thread has requested so far.
+fn thread_allocs() -> (u64, u64) {
+    THREAD_ALLOCS.with(Cell::get)
+}
 
 /// Serialises tests that mutate the process-global profiler state.
 static LOCK: Mutex<()> = Mutex::new(());
@@ -35,11 +72,11 @@ fn disabled_profiler_adds_zero_steady_state_allocations() {
     for _ in 0..8 {
         let _span = telemetry::span("steady_state_probe");
     }
-    let (allocs_before, _, bytes_before) = alloc::totals();
+    let (allocs_before, bytes_before) = thread_allocs();
     for _ in 0..10_000 {
         let _span = telemetry::span("steady_state_probe");
     }
-    let (allocs_after, _, bytes_after) = alloc::totals();
+    let (allocs_after, bytes_after) = thread_allocs();
     assert_eq!(
         allocs_after - allocs_before,
         0,
@@ -61,12 +98,12 @@ fn enabled_profiler_reaches_steady_state_without_allocating() {
         let _outer = telemetry::span("warm_outer");
         let _inner = telemetry::span("warm_inner");
     }
-    let (allocs_before, _, _) = alloc::totals();
+    let (allocs_before, _) = thread_allocs();
     for _ in 0..1_000 {
         let _outer = telemetry::span("warm_outer");
         let _inner = telemetry::span("warm_inner");
     }
-    let (allocs_after, _, _) = alloc::totals();
+    let (allocs_after, _) = thread_allocs();
     profile::clear_thread_root();
     profile::set_enabled(false);
     let snapshot = profile::snapshot();
