@@ -5,9 +5,8 @@
 //! writes `BENCH_hotpath.json`, whose gates include the speedup floor.
 //!
 //! Knobs: `MANDIPASS_BENCH_SCALE=smoke` pins the deterministic CI scale
-//! (otherwise the usual `MANDIPASS_*` scale variables apply);
-//! `MANDIPASS_HOTPATH_ITERS` / `MANDIPASS_HOTPATH_BATCH` size the
-//! timing loops.
+//! (otherwise the usual `MANDIPASS_*` scale variables apply). The
+//! timing loops are fixed: 150 iterations, batches of 4 probes.
 
 use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 

@@ -6,9 +6,9 @@
 //! committed baseline.
 //!
 //! Knobs: `MANDIPASS_BENCH_SCALE=smoke` pins the deterministic CI scale
-//! (otherwise the usual `MANDIPASS_*` scale variables apply);
-//! `MANDIPASS_OVERLOAD_REQUESTS` sizes each sweep point and
-//! `MANDIPASS_OVERLOAD_WORKERS` the server.
+//! (otherwise the usual `MANDIPASS_*` scale variables apply). The sweep
+//! is fixed: 120 open-loop requests per point (three times that at the
+//! overload point) against 2 server workers.
 
 use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 

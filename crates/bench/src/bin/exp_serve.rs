@@ -5,9 +5,8 @@
 //! the committed baseline.
 //!
 //! Knobs: `MANDIPASS_BENCH_SCALE=smoke` pins the deterministic CI scale
-//! (otherwise the usual `MANDIPASS_*` scale variables apply);
-//! `MANDIPASS_SERVE_CLIENTS` / `MANDIPASS_SERVE_REQUESTS` /
-//! `MANDIPASS_SERVE_WORKERS` size the load.
+//! (otherwise the usual `MANDIPASS_*` scale variables apply). The load
+//! is fixed: 4 clients x 24 requests against 4 server workers.
 
 use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 

@@ -6,11 +6,11 @@
 //! and bit-identical deterministic sampling.
 //!
 //! Knobs: `MANDIPASS_BENCH_SCALE=smoke` pins the deterministic CI scale;
-//! `MANDIPASS_SERVE_CLIENTS` / `MANDIPASS_SERVE_REQUESTS` /
-//! `MANDIPASS_SERVE_WORKERS` size the load; `MANDIPASS_TRACE_SAMPLE`
-//! sets the store's probabilistic rate; `MANDIPASS_TRACE_HOLD_SECS`
-//! keeps the monitor HTTP listener up after the run so an external
-//! probe can curl `/metrics` and `/traces`.
+//! `MANDIPASS_TRACE_SAMPLE` sets the store's probabilistic rate;
+//! `MANDIPASS_TRACE_HTTP_ADDR` binds the monitor HTTP listener;
+//! `MANDIPASS_TRACE_HOLD_SECS` keeps it up after the run so an external
+//! probe can curl `/metrics` and `/traces`. The load is fixed: 4
+//! clients x 16 requests against 4 server workers.
 
 use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 

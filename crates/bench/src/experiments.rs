@@ -25,7 +25,7 @@ use mandipass_imu_sim::vocal::Sex;
 use mandipass_imu_sim::{
     Condition, FaultProfile, FaultyRecorder, ImuModel, Population, Recorder, Recording, UserProfile,
 };
-use mandipass_serve::{Request, Response, ServeConfig, VerifyClient, VerifyServer, VerifyService};
+use mandipass_serve::{BreakerConfig, Request, Response, ServeConfig, VerifyClient, VerifyServer};
 use mandipass_telemetry::{
     format_trace_id, HealthStatus, MonitorServer, RequestTrace, TraceConfig, TraceStore,
 };
@@ -34,8 +34,8 @@ use mandipass_util::json::Value;
 use crate::gate::{self, Gate};
 use crate::harness::TrainedStack;
 use crate::load::{
-    outcome_signature, plan_indexed_request, run_load, run_open_loop, trace_attribution,
-    LoadConfig, LoadReport, LoadTarget, OpenLoopConfig, OpenOutcome, TrafficMix,
+    cohort_users, deploy_cohort, outcome_signature, plan_indexed_request, run_load, run_open_loop,
+    trace_attribution, LoadConfig, LoadReport, LoadTarget, OpenLoopConfig, OpenOutcome, Traffic,
 };
 use crate::scale::{env_or, EvalScale};
 
@@ -1092,12 +1092,12 @@ pub fn exp_overhead(stack: &mut TrainedStack) -> ReportTable {
 pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), MandiPassError> {
     use std::time::Instant;
     let _span = mandipass_telemetry::span("exp_hotpath");
-    let iters = env_or::<usize>("MANDIPASS_HOTPATH_ITERS", 150)?.max(3);
-    let batch = env_or::<usize>("MANDIPASS_HOTPATH_BATCH", 4)?.max(2);
+    const ITERS: usize = 150;
+    const BATCH: usize = 4;
     // Per-call seconds as the best of three equal chunks: the minimum
     // discards one-time warm-up noise (page faults, frequency ramp)
     // that a single short mean absorbs, without needing long runs.
-    let chunk = iters.div_ceil(3);
+    let chunk = ITERS.div_ceil(3);
     let time_min = |f: &mut dyn FnMut()| -> f64 {
         let mut best = f64::INFINITY;
         for _ in 0..3 {
@@ -1111,7 +1111,7 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     };
     let config = PipelineConfig::default();
     let user = stack.held_out_users()[0].clone();
-    let grads: Vec<GradientArray> = (0..batch as u64)
+    let grads: Vec<GradientArray> = (0..BATCH as u64)
         .map(|s| {
             let rec = stack
                 .recorder
@@ -1149,7 +1149,7 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     let _ = extractor.extract(&refs)?; // size the pool for N
     let batched_per = time_min(&mut || {
         let _ = extractor.extract(&refs).expect("batch extracts");
-    }) / batch as f64;
+    }) / BATCH as f64;
 
     // Fused variant on a clone: BN running stats folded into the
     // preceding convs, opt-in because parity loosens to ≤1e-6.
@@ -1246,7 +1246,7 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     table.push(
         ExperimentRecord::new(
             "Hot path",
-            format!("batched extraction per-probe latency (N={batch})"),
+            format!("batched extraction per-probe latency (N={BATCH})"),
             "≤ single-probe fast path",
             format!("{:.3} ms", batched_per * 1e3),
             batched_per <= fast_per * 1.25,
@@ -1255,8 +1255,8 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     );
 
     let mut metrics = gate::numbers(&[
-        ("iters", iters as f64),
-        ("batch", batch as f64),
+        ("iters", ITERS as f64),
+        ("batch", BATCH as f64),
         ("folded_layers", folded as f64),
         ("per_verify_seconds.naive", naive_per),
         ("per_verify_seconds.fast", fast_per),
@@ -1919,98 +1919,21 @@ pub fn exp_serve(
     threshold: f64,
 ) -> Result<(ReportTable, Value), MandiPassError> {
     let _span = mandipass_telemetry::span("exp_serve");
-    const COHORT: usize = 4;
-    let clients = env_or::<usize>("MANDIPASS_SERVE_CLIENTS", 4)?.max(1);
-    let requests = env_or::<usize>("MANDIPASS_SERVE_REQUESTS", 24)?.max(1);
-    let workers = env_or::<usize>("MANDIPASS_SERVE_WORKERS", 4)?.max(1);
-
-    // A private monitor so load traffic does not pollute the global
-    // deployment's drift windows (same idiom as `exp_monitor`).
-    let monitor: &'static mandipass_telemetry::Monitor =
-        Box::leak(Box::new(mandipass_telemetry::Monitor::default()));
-    // Enrol from the trained cohort: this experiment measures the
-    // serving layer (throughput, parity, monitoring), so it wants a
-    // deployment with real accept/reject contrast — which the tiny
-    // held-out split cannot provide at smoke scale.
-    let users: Vec<UserProfile> = stack
-        .population
-        .users()
-        .iter()
-        .take(COHORT)
-        .cloned()
-        .collect();
-    let recorder = stack.recorder.clone();
-    let config = PipelineConfig {
-        threshold,
-        ..PipelineConfig::default()
-    };
-    let mut auth = MandiPass::new(stack.extractor.clone(), config);
-    auth.set_monitor(monitor);
-    let dim = auth.embedding_dim();
-    let mut service = VerifyService::new(auth, VerifyPolicy::default());
-    for user in &users {
-        let matrix = GaussianMatrix::generate(0x5e12 ^ u64::from(user.id), dim);
-        let recs: Vec<Recording> = (0..4u64)
-            .map(|s| {
-                recorder.record(
-                    user,
-                    Condition::Normal,
-                    0x5e12_0000 ^ (u64::from(user.id) << 8) ^ s,
-                )
-            })
-            .collect();
-        service.enroll(user.id, &recs, matrix)?;
-    }
-    // Post-enrolment calibration does two jobs. (a) Re-freeze the drift
-    // baseline on live genuine distances so the PSI judges traffic
-    // against traffic, not against the tighter prints-vs-template
-    // distribution. (b) Recalibrate the operating threshold for THIS
-    // deployment from its own genuine-vs-cross-user distance gap — the
-    // EER threshold was fit on a different matrix pairing and need not
-    // separate this cohort, especially at smoke scales.
-    let mut genuine_cal = Vec::new();
-    let mut impostor_cal = Vec::new();
-    for (u, user) in users.iter().enumerate() {
-        for s in 0..4u64 {
-            let seed = 0x5e12_3000 ^ ((u as u64) << 8) ^ s;
-            let own = recorder.record(user, Condition::Normal, seed);
-            if let Response::Decision { distance, .. } = service.handle(&Request::Verify {
-                user_id: user.id,
-                probe: own,
-            }) {
-                genuine_cal.push(distance);
-            }
-            let other = &users[(u + 1) % users.len()];
-            let foreign = recorder.record(other, Condition::Normal, seed ^ 0x77);
-            if let Response::Decision { distance, .. } = service.handle(&Request::Verify {
-                user_id: user.id,
-                probe: foreign,
-            }) {
-                impostor_cal.push(distance);
-            }
-        }
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let (genuine_mean, impostor_mean) = (mean(&genuine_cal), mean(&impostor_cal));
-    if impostor_mean > genuine_mean {
-        service.system_mut().config_mut().threshold = (genuine_mean + impostor_mean) / 2.0;
-    }
-    monitor.extend_baseline(&genuine_cal);
-    monitor.freeze_baseline();
-    monitor.reset_windows();
-
-    let service = std::sync::Arc::new(service);
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 24;
+    const WORKERS: usize = 4;
+    let service = deploy_cohort(stack, threshold, 0x5e12, BreakerConfig::default())?;
+    let monitor = service.system().monitor();
+    let (users, recorder) = (cohort_users(stack), &stack.recorder);
     let load_config = LoadConfig {
-        clients,
-        requests_per_client: requests,
-        // Probes per policy request (default 2 keeps historical plans).
-        policy_batch: env_or::<usize>("MANDIPASS_POLICY_BATCH", 2)?.max(1),
+        clients: CLIENTS,
+        requests_per_client: REQUESTS,
         ..LoadConfig::default()
     };
     let in_process = run_load(
         &LoadTarget::InProcess(&service),
-        &users,
-        &recorder,
+        users,
+        recorder,
         &load_config,
         Some(monitor),
     );
@@ -2021,7 +1944,7 @@ pub fn exp_serve(
         std::sync::Arc::clone(&service),
         "127.0.0.1:0",
         ServeConfig {
-            workers,
+            workers: WORKERS,
             ..ServeConfig::default()
         },
     )
@@ -2036,8 +1959,8 @@ pub fn exp_serve(
     mandipass_telemetry::profile::reset();
     let tcp = run_load(
         &LoadTarget::Tcp(server.local_addr()),
-        &users,
-        &recorder,
+        users,
+        recorder,
         &load_config,
         Some(monitor),
     );
@@ -2046,11 +1969,11 @@ pub fn exp_serve(
     server.shutdown();
     let health = monitor.health();
 
-    let scale_desc = format!("{clients} clients x {requests} requests, {workers} workers");
+    let scale_desc = format!("{CLIENTS} clients x {REQUESTS} requests, {WORKERS} workers");
     let doc = serve_document(
         &scale_desc,
         &load_config,
-        workers,
+        WORKERS,
         &in_process,
         &tcp,
         Some(profile_section),
@@ -2067,7 +1990,7 @@ pub fn exp_serve(
         )
         .with_note(format!(
             "in-process {:.0} req/s over {} requests",
-            in_process.qps, in_process.requests
+            in_process.qps, in_process.counts.requests
         )),
     );
     table.push(ExperimentRecord::new(
@@ -2102,16 +2025,9 @@ pub fn exp_serve(
         )
         .with_note("util JSON round-trips f64 exactly, so a TCP hop must not move any decision"),
     );
-    let genuine_rate = if tcp.genuine == 0 {
-        0.0
-    } else {
-        tcp.genuine_accepted as f64 / tcp.genuine as f64
-    };
-    let impostor_rate = if tcp.impostor == 0 {
-        0.0
-    } else {
-        tcp.impostor_accepted as f64 / tcp.impostor as f64
-    };
+    let rate = |accepted: u64, issued: u64| accepted as f64 / issued.max(1) as f64;
+    let genuine_rate = rate(tcp.counts.genuine_accepted, tcp.counts.genuine);
+    let impostor_rate = rate(tcp.counts.impostor_accepted, tcp.counts.impostor);
     table.push(ExperimentRecord::new(
         "Serve",
         "impostor acceptance below genuine",
@@ -2219,81 +2135,13 @@ pub fn exp_overload(
     threshold: f64,
 ) -> Result<(ReportTable, Value), MandiPassError> {
     let _span = mandipass_telemetry::span("exp_overload");
-    const COHORT: usize = 4;
-    let requests = env_or::<usize>("MANDIPASS_OVERLOAD_REQUESTS", 120)?.max(16);
-    let workers = env_or::<usize>("MANDIPASS_OVERLOAD_WORKERS", 2)?.max(1);
-    let seed: u64 = 0x0ea6_10ad;
-
-    let users: Vec<UserProfile> = stack
-        .population
-        .users()
-        .iter()
-        .take(COHORT)
-        .cloned()
-        .collect();
-    let recorder = stack.recorder.clone();
-    // Deployment factory: the sweep needs one breaker-disabled service
-    // and the drill needs TWO bit-identical breaker-enabled ones, so
-    // enrolment + calibration must be a repeatable function of its
-    // arguments only (same idiom as `exp_serve`, wrapped for reuse).
-    let build_service = |breaker: mandipass_serve::BreakerConfig,
-                         monitor: &'static mandipass_telemetry::Monitor|
-     -> Result<VerifyService, MandiPassError> {
-        let config = PipelineConfig {
-            threshold,
-            ..PipelineConfig::default()
-        };
-        let mut auth = MandiPass::new(stack.extractor.clone(), config);
-        auth.set_monitor(monitor);
-        let dim = auth.embedding_dim();
-        let mut service = VerifyService::with_breaker(auth, VerifyPolicy::default(), breaker);
-        for user in &users {
-            let matrix = GaussianMatrix::generate(0x5e12 ^ u64::from(user.id), dim);
-            let recs: Vec<Recording> = (0..4u64)
-                .map(|s| {
-                    recorder.record(
-                        user,
-                        Condition::Normal,
-                        0x5e12_0000 ^ (u64::from(user.id) << 8) ^ s,
-                    )
-                })
-                .collect();
-            service.enroll(user.id, &recs, matrix)?;
-        }
-        // Recalibrate threshold and drift baseline on this deployment's
-        // own genuine/cross-user gap (see `exp_serve` for the why).
-        let mut genuine_cal = Vec::new();
-        let mut impostor_cal = Vec::new();
-        for (u, user) in users.iter().enumerate() {
-            for s in 0..4u64 {
-                let cal_seed = 0x5e12_3000 ^ ((u as u64) << 8) ^ s;
-                let own = recorder.record(user, Condition::Normal, cal_seed);
-                if let Response::Decision { distance, .. } = service.handle(&Request::Verify {
-                    user_id: user.id,
-                    probe: own,
-                }) {
-                    genuine_cal.push(distance);
-                }
-                let other = &users[(u + 1) % users.len()];
-                let foreign = recorder.record(other, Condition::Normal, cal_seed ^ 0x77);
-                if let Response::Decision { distance, .. } = service.handle(&Request::Verify {
-                    user_id: user.id,
-                    probe: foreign,
-                }) {
-                    impostor_cal.push(distance);
-                }
-            }
-        }
-        let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-        let (genuine_mean, impostor_mean) = (mean(&genuine_cal), mean(&impostor_cal));
-        if impostor_mean > genuine_mean {
-            service.system_mut().config_mut().threshold = (genuine_mean + impostor_mean) / 2.0;
-        }
-        monitor.extend_baseline(&genuine_cal);
-        monitor.freeze_baseline();
-        monitor.reset_windows();
-        Ok(service)
+    const REQUESTS: usize = 120;
+    const WORKERS: usize = 2;
+    let traffic = Traffic {
+        seed: 0x0ea6_10ad,
+        ..Traffic::default()
     };
+    let (users, recorder) = (cohort_users(stack), &stack.recorder);
 
     // ----- Phase 1 + 2: capacity, then an open-loop sweep ------------
     // The sweep server runs with a queue bound of `workers`: waiting
@@ -2301,18 +2149,13 @@ pub fn exp_overload(
     // queue wait — and with it the admitted p99 — stays bounded no
     // matter how far past capacity the offered load goes. Everything
     // above the bound becomes a typed `overloaded` shed.
-    let sweep_monitor: &'static mandipass_telemetry::Monitor =
-        Box::leak(Box::new(mandipass_telemetry::Monitor::default()));
-    let service = std::sync::Arc::new(build_service(
-        mandipass_serve::BreakerConfig::disabled(),
-        sweep_monitor,
-    )?);
+    let service = deploy_cohort(stack, threshold, 0x5e12, BreakerConfig::disabled())?;
     let mut server = VerifyServer::bind(
         std::sync::Arc::clone(&service),
         "127.0.0.1:0",
         ServeConfig {
-            workers,
-            queue_capacity: workers,
+            workers: WORKERS,
+            queue_capacity: WORKERS,
             ..ServeConfig::default()
         },
     )
@@ -2326,31 +2169,24 @@ pub fn exp_overload(
     // counts flaky. 2x workers fills both the workers and the queue
     // bound exactly.
     let closed_config = LoadConfig {
-        clients: workers * 2,
-        requests_per_client: (requests / (workers * 2)).max(8),
-        seed,
-        ..LoadConfig::default()
+        clients: WORKERS * 2,
+        requests_per_client: REQUESTS / (WORKERS * 2),
+        traffic,
     };
     let closed = run_load(
         &LoadTarget::Tcp(addr),
-        &users,
-        &recorder,
+        users,
+        recorder,
         &closed_config,
         None,
     );
     let capacity_qps = closed.qps.max(1.0);
 
-    let mix = TrafficMix::default();
-    let fault_intensity = LoadConfig::default().fault_intensity;
-    let policy_batch = LoadConfig::default().policy_batch;
     let open_point = |rate: f64, total: usize, senders: usize| OpenLoopConfig {
         rate_per_sec: rate,
         total_requests: total,
         senders,
-        mix,
-        fault_intensity,
-        policy_batch,
-        seed,
+        traffic,
         deadline_ms: None,
     };
     // 2.75x capacity offered (gate: >= 2x ACHIEVED) leaves headroom
@@ -2362,15 +2198,15 @@ pub fn exp_overload(
     // let a single scheduler stall decide the verdict.
     let unsaturated = run_open_loop(
         addr,
-        &users,
-        &recorder,
-        &open_point(capacity_qps * 0.8, requests, 8),
+        users,
+        recorder,
+        &open_point(capacity_qps * 0.8, REQUESTS, 8),
     );
     let overload = run_open_loop(
         addr,
-        &users,
-        &recorder,
-        &open_point(capacity_qps * 2.75, requests * 3, 32),
+        users,
+        recorder,
+        &open_point(capacity_qps * 2.75, REQUESTS * 3, 32),
     );
     server.shutdown();
 
@@ -2383,15 +2219,7 @@ pub fn exp_overload(
     for report in [&unsaturated, &overload] {
         for (index, outcome) in report.outcomes.iter().enumerate() {
             if let OpenOutcome::Served { signature } = outcome {
-                let (request, _) = plan_indexed_request(
-                    seed,
-                    index,
-                    &users,
-                    &recorder,
-                    mix,
-                    fault_intensity,
-                    policy_batch,
-                );
+                let (request, _) = plan_indexed_request(&traffic, index, users, recorder);
                 let replay = outcome_signature(&service.handle(&request));
                 parity_checked += 1;
                 if *signature != replay {
@@ -2417,9 +2245,7 @@ pub fn exp_overload(
     // -> Closed. Run twice from identical deployments; the sequences
     // must match bit-for-bit.
     let drill = || -> Result<(Vec<String>, Vec<String>, u64, u64), MandiPassError> {
-        let monitor: &'static mandipass_telemetry::Monitor =
-            Box::leak(Box::new(mandipass_telemetry::Monitor::default()));
-        let breaker_config = mandipass_serve::BreakerConfig {
+        let breaker_config = BreakerConfig {
             enabled: true,
             window: 8,
             min_failures: 4,
@@ -2429,7 +2255,8 @@ pub fn exp_overload(
             close_after: 2,
             retry_after_ms: 25,
         };
-        let service = std::sync::Arc::new(build_service(breaker_config, monitor)?);
+        let service = deploy_cohort(stack, threshold, 0x5e12, breaker_config)?;
+        let monitor = service.system().monitor();
         let mut server = VerifyServer::bind(
             std::sync::Arc::clone(&service),
             "127.0.0.1:0",
@@ -2497,7 +2324,7 @@ pub fn exp_overload(
 
     // ----- Document --------------------------------------------------
     let scale_desc =
-        format!("{requests} open-loop requests per point, {workers} workers, queue {workers}");
+        format!("{REQUESTS} open-loop requests per point, {WORKERS} workers, queue {WORKERS}");
     let mut metrics = gate::numbers(&[
         ("capacity.qps", capacity_qps),
         ("capacity.p99_seconds", closed.latency.p99.max(1e-9)),
@@ -2519,7 +2346,7 @@ pub fn exp_overload(
     ]);
     let metrics = Value::Object(metrics);
     let detail = Value::Object(vec![
-        ("seed".to_string(), Value::Number(seed as f64)),
+        ("seed".to_string(), Value::Number(traffic.seed as f64)),
         (
             "sweep".to_string(),
             Value::Array(vec![unsaturated.to_json(), overload.to_json()]),
@@ -2685,86 +2512,19 @@ pub fn exp_trace(
     threshold: f64,
 ) -> Result<(ReportTable, Value), MandiPassError> {
     let _span = mandipass_telemetry::span("exp_trace");
-    const COHORT: usize = 4;
-    let clients = env_or::<usize>("MANDIPASS_SERVE_CLIENTS", 4)?.max(1);
-    let requests = env_or::<usize>("MANDIPASS_SERVE_REQUESTS", 16)?.max(1);
-    let workers = env_or::<usize>("MANDIPASS_SERVE_WORKERS", 4)?.max(1);
+    const CLIENTS: usize = 4;
+    const REQUESTS: usize = 16;
+    const WORKERS: usize = 4;
     let hold_secs = env_or::<u64>("MANDIPASS_TRACE_HOLD_SECS", 0)?;
 
-    // A private monitor: the trace store under test must contain exactly
-    // this experiment's requests.
-    let monitor: &'static mandipass_telemetry::Monitor =
-        Box::leak(Box::new(mandipass_telemetry::Monitor::default()));
-    let users: Vec<UserProfile> = stack
-        .population
-        .users()
-        .iter()
-        .take(COHORT)
-        .cloned()
-        .collect();
-    let recorder = stack.recorder.clone();
-    let config = PipelineConfig {
-        threshold,
-        ..PipelineConfig::default()
-    };
-    let mut auth = MandiPass::new(stack.extractor.clone(), config);
-    auth.set_monitor(monitor);
-    let dim = auth.embedding_dim();
-    let mut service = VerifyService::new(auth, VerifyPolicy::default());
-    for user in &users {
-        let matrix = GaussianMatrix::generate(0x7217 ^ u64::from(user.id), dim);
-        let recs: Vec<Recording> = (0..4u64)
-            .map(|s| {
-                recorder.record(
-                    user,
-                    Condition::Normal,
-                    0x7217_0000 ^ (u64::from(user.id) << 8) ^ s,
-                )
-            })
-            .collect();
-        service.enroll(user.id, &recs, matrix)?;
-    }
-    // Same post-enrolment calibration as `exp_serve`: freeze the drift
-    // baseline on live genuine distances and recalibrate the threshold
-    // from this deployment's own genuine-vs-impostor gap.
-    let mut genuine_cal = Vec::new();
-    let mut impostor_cal = Vec::new();
-    for (u, user) in users.iter().enumerate() {
-        for s in 0..4u64 {
-            let seed = 0x7217_3000 ^ ((u as u64) << 8) ^ s;
-            let own = recorder.record(user, Condition::Normal, seed);
-            if let Response::Decision { distance, .. } = service.handle(&Request::Verify {
-                user_id: user.id,
-                probe: own,
-            }) {
-                genuine_cal.push(distance);
-            }
-            let other = &users[(u + 1) % users.len()];
-            let foreign = recorder.record(other, Condition::Normal, seed ^ 0x77);
-            if let Response::Decision { distance, .. } = service.handle(&Request::Verify {
-                user_id: user.id,
-                probe: foreign,
-            }) {
-                impostor_cal.push(distance);
-            }
-        }
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
-    let (genuine_mean, impostor_mean) = (mean(&genuine_cal), mean(&impostor_cal));
-    if impostor_mean > genuine_mean {
-        service.system_mut().config_mut().threshold = (genuine_mean + impostor_mean) / 2.0;
-    }
-    monitor.extend_baseline(&genuine_cal);
-    monitor.freeze_baseline();
-    // Calibration traffic committed traces too; judge only the load.
-    monitor.reset_windows();
-
-    let service = std::sync::Arc::new(service);
+    let service = deploy_cohort(stack, threshold, 0x7217, BreakerConfig::default())?;
+    let monitor = service.system().monitor();
+    let (users, recorder) = (cohort_users(stack), &stack.recorder);
     let mut server = VerifyServer::bind(
         std::sync::Arc::clone(&service),
         "127.0.0.1:0",
         ServeConfig {
-            workers,
+            workers: WORKERS,
             ..ServeConfig::default()
         },
     )
@@ -2775,15 +2535,17 @@ pub fn exp_trace(
     let mut http = MonitorServer::bind(monitor, &http_addr).expect("bind monitor HTTP listener");
 
     let load_config = LoadConfig {
-        clients,
-        requests_per_client: requests,
-        seed: 0x7217_4e20,
-        ..LoadConfig::default()
+        clients: CLIENTS,
+        requests_per_client: REQUESTS,
+        traffic: Traffic {
+            seed: 0x7217_4e20,
+            ..Traffic::default()
+        },
     };
     let tcp = run_load(
         &LoadTarget::Tcp(server.local_addr()),
-        &users,
-        &recorder,
+        users,
+        recorder,
         &load_config,
         Some(monitor),
     );
@@ -2909,7 +2671,10 @@ pub fn exp_trace(
     // are served live on `/traces`, not kept in the artifact.
     let attribution = trace_attribution(monitor, 0);
     let metrics = Value::Object(vec![
-        ("requests".to_string(), Value::Number(tcp.requests as f64)),
+        (
+            "requests".to_string(),
+            Value::Number(tcp.counts.requests as f64),
+        ),
         (
             "echoed_ids".to_string(),
             Value::Number(tcp.trace_ids.len() as f64),
@@ -2933,7 +2698,7 @@ pub fn exp_trace(
         ),
     ]);
     let doc = trace_document(
-        &format!("{clients} clients x {requests} requests, {workers} workers"),
+        &format!("{CLIENTS} clients x {REQUESTS} requests, {WORKERS} workers"),
         &metrics,
     );
 

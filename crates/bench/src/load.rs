@@ -1,33 +1,133 @@
-//! Closed-loop and open-loop load generators for the serving layer.
+//! The serve harness: the cohort deployment every serve bench measures,
+//! and the closed-loop and open-loop load generators that drive it.
 //!
-//! N client threads each issue a deterministic per-client stream of
-//! mixed traffic — genuine probes, cross-user impostor probes, and
-//! fault-injected probes that exercise the retry/degraded policy path —
-//! against either the in-process [`VerifyService`] or a TCP
-//! [`VerifyServer`](mandipass_serve::VerifyServer) endpoint. Closed loop
-//! means one in-flight request per client: the next request only starts
-//! when the previous response lands, so sustained QPS and the latency
-//! quantiles describe the same steady state.
+//! `deploy_cohort` enrols and calibrates the deployment. Every request
+//! either generator sends comes from one plan: request `i` of a
+//! [`Traffic`] is [`plan_indexed_request`]`(traffic, i, …)` — a genuine
+//! probe, a cross-user impostor probe, or a fault-injected probe that
+//! exercises the retry/degraded policy path.
 //!
-//! Request *contents* derive only from `(seed, client index, request
-//! index)`, never from timing, so the decision tallies of two runs with
-//! the same config are bit-identical across transports — the
-//! transport-parity check in `exp_serve` and the deterministic decision
-//! counts of `BENCH_serve.json` both rest on this.
+//! * [`run_load`] is the closed loop: N client threads against the
+//!   in-process [`VerifyService`] or a TCP
+//!   [`VerifyServer`](mandipass_serve::VerifyServer), one request in
+//!   flight per client. Client `c` issues indices `c, c + N, c + 2N, …`,
+//!   each only once the previous response has landed, so sustained QPS
+//!   and the latency quantiles describe the same steady state.
+//! * [`run_open_loop`] fires index `i` over TCP at `start + i / rate`
+//!   whatever is outstanding — the only way to drive offered load past
+//!   capacity.
+//!
+//! Request contents derive only from `(traffic, index)`, never from
+//! timing or thread, so two runs of one config send the same bytes: the
+//! transport-parity check of `exp_serve`, the deterministic decision
+//! counts of `BENCH_serve.json` and the admitted-decision parity of
+//! `exp_overload` all rest on this.
 
 use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::Instant;
 
+use mandipass::prelude::*;
 use mandipass_imu_sim::faults::sweep_profiles;
-use mandipass_imu_sim::{Condition, Recorder, UserProfile};
-use mandipass_serve::{Request, Response, VerifyClient, VerifyService};
+use mandipass_imu_sim::{Condition, Recorder, Recording, UserProfile};
+use mandipass_serve::{BreakerConfig, Request, Response, VerifyClient, VerifyService};
 use mandipass_telemetry::{Histogram, Monitor, Registry};
 use mandipass_util::json::Value;
 use mandipass_util::rand::{rngs::StdRng, Rng, SeedableRng};
 
+use crate::harness::TrainedStack;
+
+/// Users every serve bench enrols.
+const COHORT: usize = 4;
+
+/// The users a [`deploy_cohort`] deployment enrols: the first four of
+/// the trained cohort. The serve benches measure the serving layer, so
+/// they want real accept/reject contrast, which the held-out split is
+/// too small to give at smoke scale.
+pub(crate) fn cohort_users(stack: &TrainedStack) -> &[UserProfile] {
+    let users = stack.population.users();
+    &users[..COHORT.min(users.len())]
+}
+
+/// Builds the deployment every serve bench measures. Equal arguments
+/// build bit-identical deployments, which the overload drill relies on.
+///
+/// Each of the [`cohort_users`] is enrolled from four recordings (seeds
+/// `salt << 16 ^ id << 8 ^ s`) under the matrix seeded `salt ^ id`. Four
+/// genuine and four cross-user calibration verifies per user (seeds
+/// `salt << 16 ^ 0x3000 ^ u << 8 ^ s`) then do two jobs. The threshold
+/// moves to the midpoint of the genuine and impostor mean distances:
+/// the EER `threshold` was fit on a different matrix pairing and need
+/// not separate this cohort at smoke scale. And the drift baseline
+/// freezes on the genuine distances, so the PSI judges traffic against
+/// traffic. The windows are reset last, so verdicts cover only the load.
+///
+/// The deployment feeds a private monitor, reachable through
+/// `service.system().monitor()`: load traffic stays out of the global
+/// drift windows, and the trace store holds only this deployment's
+/// requests.
+///
+/// # Errors
+///
+/// Propagates enrolment failures.
+pub(crate) fn deploy_cohort(
+    stack: &TrainedStack,
+    threshold: f64,
+    salt: u64,
+    breaker: BreakerConfig,
+) -> Result<Arc<VerifyService>, MandiPassError> {
+    let monitor: &'static Monitor = Box::leak(Box::new(Monitor::default()));
+    let config = PipelineConfig {
+        threshold,
+        ..PipelineConfig::default()
+    };
+    let mut auth = MandiPass::new(stack.extractor.clone(), config);
+    auth.set_monitor(monitor);
+    let dim = auth.embedding_dim();
+    let mut service = VerifyService::with_breaker(auth, VerifyPolicy::default(), breaker);
+    let users = cohort_users(stack);
+    let record = |user: &UserProfile, seed: u64| {
+        stack
+            .recorder
+            .record(user, Condition::Normal, (salt << 16) ^ seed)
+    };
+    for user in users {
+        let id = u64::from(user.id);
+        let recordings: Vec<Recording> = (0..4).map(|s| record(user, (id << 8) ^ s)).collect();
+        service.enroll(
+            user.id,
+            &recordings,
+            GaussianMatrix::generate(salt ^ id, dim),
+        )?;
+    }
+    let distance = |service: &VerifyService, user_id: u32, probe: Recording| match service
+        .handle(&Request::Verify { user_id, probe })
+    {
+        Response::Decision { distance, .. } => Some(distance),
+        _ => None,
+    };
+    let (mut genuine, mut impostor) = (Vec::new(), Vec::new());
+    for (u, user) in users.iter().enumerate() {
+        let other = &users[(u + 1) % users.len()];
+        for s in 0..4u64 {
+            let seed = 0x3000 ^ ((u as u64) << 8) ^ s;
+            genuine.extend(distance(&service, user.id, record(user, seed)));
+            impostor.extend(distance(&service, user.id, record(other, seed ^ 0x77)));
+        }
+    }
+    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len().max(1) as f64;
+    let (genuine_mean, impostor_mean) = (mean(&genuine), mean(&impostor));
+    if impostor_mean > genuine_mean {
+        service.system_mut().config_mut().threshold = (genuine_mean + impostor_mean) / 2.0;
+    }
+    monitor.extend_baseline(&genuine);
+    monitor.freeze_baseline();
+    monitor.reset_windows();
+    Ok(Arc::new(service))
+}
+
 /// Traffic composition in whole percent; the three shares must sum
-/// to 100 (validated by [`LoadConfig::validate`]).
+/// to 100 (checked by [`Traffic::validate`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TrafficMix {
     /// Genuine probes from the claimed user.
@@ -49,39 +149,29 @@ impl Default for TrafficMix {
     }
 }
 
-/// One load-generation run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LoadConfig {
-    /// Concurrent closed-loop client threads.
-    pub clients: usize,
-    /// Requests each client issues.
-    pub requests_per_client: usize,
+/// What a generator sends: request `i` is
+/// [`plan_indexed_request`]`(self, i, …)`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Traffic {
     /// Traffic composition.
     pub mix: TrafficMix,
     /// Fault intensity (0..=1) for the faulty share.
     pub fault_intensity: f64,
-    /// Probes per policy (faulty-share) request: one fault-injected
-    /// probe plus `policy_batch - 1` clean retries. The default of 2
-    /// reproduces the historical plan byte for byte.
-    pub policy_batch: usize,
-    /// Master seed; every client derives its own stream from it.
+    /// Master seed of the plan.
     pub seed: u64,
 }
 
-impl Default for LoadConfig {
+impl Default for Traffic {
     fn default() -> Self {
-        LoadConfig {
-            clients: 4,
-            requests_per_client: 32,
+        Traffic {
             mix: TrafficMix::default(),
             fault_intensity: 0.75,
-            policy_batch: 2,
             seed: 0x5e12_4e20,
         }
     }
 }
 
-impl LoadConfig {
+impl Traffic {
     /// Checks internal consistency.
     ///
     /// # Errors
@@ -99,46 +189,51 @@ impl LoadConfig {
                 self.fault_intensity
             ));
         }
-        if self.policy_batch == 0 {
-            return Err("policy_batch must be at least 1".to_string());
-        }
         Ok(())
     }
+}
 
+/// One closed-loop run.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LoadConfig {
+    /// Concurrent closed-loop client threads.
+    pub clients: usize,
+    /// Requests each client issues.
+    pub requests_per_client: usize,
+    /// What the clients send.
+    pub traffic: Traffic,
+}
+
+impl Default for LoadConfig {
+    fn default() -> Self {
+        LoadConfig {
+            clients: 4,
+            requests_per_client: 32,
+            traffic: Traffic::default(),
+        }
+    }
+}
+
+impl LoadConfig {
     pub(crate) fn serialise(&self) -> Value {
-        Value::Object(vec![
-            ("clients".to_string(), Value::Number(self.clients as f64)),
-            (
-                "requests_per_client".to_string(),
-                Value::Number(self.requests_per_client as f64),
-            ),
-            (
-                "mix".to_string(),
-                Value::Object(vec![
-                    (
-                        "genuine_pct".to_string(),
-                        Value::Number(f64::from(self.mix.genuine_pct)),
-                    ),
-                    (
-                        "impostor_pct".to_string(),
-                        Value::Number(f64::from(self.mix.impostor_pct)),
-                    ),
-                    (
-                        "faulty_pct".to_string(),
-                        Value::Number(f64::from(self.mix.faulty_pct)),
-                    ),
-                ]),
-            ),
-            (
-                "fault_intensity".to_string(),
-                Value::Number(self.fault_intensity),
-            ),
-            (
-                "policy_batch".to_string(),
-                Value::Number(self.policy_batch as f64),
-            ),
-            ("seed".to_string(), Value::Number(self.seed as f64)),
-        ])
+        let Traffic {
+            mix,
+            fault_intensity,
+            seed,
+        } = self.traffic;
+        let mut fields = crate::gate::numbers(&[
+            ("clients", self.clients as f64),
+            ("requests_per_client", self.requests_per_client as f64),
+            ("fault_intensity", fault_intensity),
+            ("seed", seed as f64),
+        ]);
+        let mix = crate::gate::numbers(&[
+            ("genuine_pct", f64::from(mix.genuine_pct)),
+            ("impostor_pct", f64::from(mix.impostor_pct)),
+            ("faulty_pct", f64::from(mix.faulty_pct)),
+        ]);
+        fields.push(("mix".to_string(), Value::Object(mix)));
+        Value::Object(fields)
     }
 }
 
@@ -152,25 +247,36 @@ pub enum LoadTarget<'a> {
     Tcp(SocketAddr),
 }
 
-/// Per-thread outcome tally; summed after join so the totals are
-/// deterministic regardless of scheduling.
-#[derive(Debug, Default, Clone, Copy)]
-struct Tally {
-    requests: u64,
-    accepted: u64,
-    rejected: u64,
-    degraded: u64,
-    exhausted: u64,
-    errors: u64,
-    genuine: u64,
-    genuine_accepted: u64,
-    impostor: u64,
-    impostor_accepted: u64,
-    faulty: u64,
+/// Decision tallies of one closed-loop run, summed over the client
+/// threads after join so the totals do not depend on scheduling.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct Counts {
+    /// Completed requests.
+    pub requests: u64,
+    /// Accept decisions.
+    pub accepted: u64,
+    /// Reject decisions (a decision was made, identity denied).
+    pub rejected: u64,
+    /// Decisions taken in degraded accel-only mode.
+    pub degraded: u64,
+    /// Policy runs that exhausted every attempt.
+    pub exhausted: u64,
+    /// Transport or unexpected server errors.
+    pub errors: u64,
+    /// Genuine requests issued.
+    pub genuine: u64,
+    /// Genuine requests that were accepted.
+    pub genuine_accepted: u64,
+    /// Impostor requests issued.
+    pub impostor: u64,
+    /// Impostor requests that were (wrongly) accepted.
+    pub impostor_accepted: u64,
+    /// Fault-injected requests issued.
+    pub faulty: u64,
 }
 
-impl Tally {
-    fn add(&mut self, other: &Tally) {
+impl Counts {
+    fn add(&mut self, other: &Counts) {
         self.requests += other.requests;
         self.accepted += other.accepted;
         self.rejected += other.rejected;
@@ -182,6 +288,45 @@ impl Tally {
         self.impostor += other.impostor;
         self.impostor_accepted += other.impostor_accepted;
         self.faulty += other.faulty;
+    }
+
+    /// Tallies the response to one request planned as `kind`.
+    fn score(&mut self, kind: PlannedKind, response: &Result<Response, String>) {
+        self.requests += 1;
+        match kind {
+            PlannedKind::Genuine => self.genuine += 1,
+            PlannedKind::Impostor => self.impostor += 1,
+            PlannedKind::Faulty => self.faulty += 1,
+        }
+        match response {
+            Ok(Response::Decision {
+                accepted, degraded, ..
+            }) => {
+                if *accepted {
+                    self.accepted += 1;
+                    match kind {
+                        PlannedKind::Genuine => self.genuine_accepted += 1,
+                        PlannedKind::Impostor => self.impostor_accepted += 1,
+                        PlannedKind::Faulty => {}
+                    }
+                } else {
+                    self.rejected += 1;
+                }
+                if *degraded {
+                    self.degraded += 1;
+                }
+            }
+            // Pipeline rejects on hostile probes (e.g. undetectable
+            // vibration) and exhausted retries are decisions of a kind
+            // too; anything else — transport failures, bad_request — is
+            // an error.
+            Ok(Response::Error { kind, .. })
+                if kind != "bad_request" && kind != "not_enrolled" && kind != "unknown" =>
+            {
+                self.exhausted += 1
+            }
+            _ => self.errors += 1,
+        }
     }
 }
 
@@ -200,6 +345,18 @@ pub struct LatencySummary {
     pub max: f64,
 }
 
+impl LatencySummary {
+    fn of(histogram: &Histogram) -> Self {
+        LatencySummary {
+            p50: histogram.quantile(0.5),
+            p99: histogram.quantile(0.99),
+            p999: histogram.quantile(0.999),
+            mean: histogram.mean(),
+            max: histogram.max(),
+        }
+    }
+}
+
 /// The result of one load run.
 #[derive(Debug, Clone)]
 pub struct LoadReport {
@@ -211,28 +368,8 @@ pub struct LoadReport {
     pub qps: f64,
     /// Latency quantiles.
     pub latency: LatencySummary,
-    /// Completed requests.
-    pub requests: u64,
-    /// Accept decisions.
-    pub accepted: u64,
-    /// Reject decisions (a decision was made, identity denied).
-    pub rejected: u64,
-    /// Decisions taken in degraded accel-only mode.
-    pub degraded: u64,
-    /// Policy runs that exhausted every attempt.
-    pub exhausted: u64,
-    /// Transport or unexpected server errors.
-    pub errors: u64,
-    /// Per-category request counts and per-category accepts.
-    pub genuine: u64,
-    /// Genuine requests that were accepted.
-    pub genuine_accepted: u64,
-    /// Impostor requests issued.
-    pub impostor: u64,
-    /// Impostor requests that were (wrongly) accepted.
-    pub impostor_accepted: u64,
-    /// Fault-injected requests issued.
-    pub faulty: u64,
+    /// Decision and per-category tallies.
+    pub counts: Counts,
     /// The serving deployment's drift-monitor health report at the end
     /// of the run, when the caller handed the monitor over.
     pub monitor: Value,
@@ -244,39 +381,33 @@ pub struct LoadReport {
 impl LoadReport {
     /// Reject fraction over completed requests (rejected + exhausted).
     pub fn reject_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            (self.rejected + self.exhausted) as f64 / self.requests as f64
-        }
+        (self.counts.rejected + self.counts.exhausted) as f64 / self.counts.requests.max(1) as f64
     }
 
     /// Degraded-decision fraction over completed requests.
     pub fn degraded_rate(&self) -> f64 {
-        if self.requests == 0 {
-            0.0
-        } else {
-            self.degraded as f64 / self.requests as f64
-        }
+        self.counts.degraded as f64 / self.counts.requests.max(1) as f64
     }
 
     /// The decision tallies that must be transport-invariant.
     pub fn decision_signature(&self) -> [u64; 7] {
+        let c = &self.counts;
         [
-            self.requests,
-            self.accepted,
-            self.rejected,
-            self.degraded,
-            self.exhausted,
-            self.genuine_accepted,
-            self.impostor_accepted,
+            c.requests,
+            c.accepted,
+            c.rejected,
+            c.degraded,
+            c.exhausted,
+            c.genuine_accepted,
+            c.impostor_accepted,
         ]
     }
 
     /// One transport section of the `BENCH_serve.json` metrics.
     pub fn to_json(&self) -> Value {
+        let c = &self.counts;
         Value::Object(crate::gate::numbers(&[
-            ("requests", self.requests as f64),
+            ("requests", c.requests as f64),
             ("wall_seconds", self.wall_seconds),
             ("qps", self.qps),
             ("latency_seconds.p50", self.latency.p50),
@@ -284,16 +415,16 @@ impl LoadReport {
             ("latency_seconds.p999", self.latency.p999),
             ("latency_seconds.mean", self.latency.mean),
             ("latency_seconds.max", self.latency.max),
-            ("counts.accepted", self.accepted as f64),
-            ("counts.rejected", self.rejected as f64),
-            ("counts.degraded", self.degraded as f64),
-            ("counts.exhausted", self.exhausted as f64),
-            ("counts.errors", self.errors as f64),
-            ("counts.genuine", self.genuine as f64),
-            ("counts.genuine_accepted", self.genuine_accepted as f64),
-            ("counts.impostor", self.impostor as f64),
-            ("counts.impostor_accepted", self.impostor_accepted as f64),
-            ("counts.faulty", self.faulty as f64),
+            ("counts.accepted", c.accepted as f64),
+            ("counts.rejected", c.rejected as f64),
+            ("counts.degraded", c.degraded as f64),
+            ("counts.exhausted", c.exhausted as f64),
+            ("counts.errors", c.errors as f64),
+            ("counts.genuine", c.genuine as f64),
+            ("counts.genuine_accepted", c.genuine_accepted as f64),
+            ("counts.impostor", c.impostor as f64),
+            ("counts.impostor_accepted", c.impostor_accepted as f64),
+            ("counts.faulty", c.faulty as f64),
             ("rates.reject", self.reject_rate()),
             ("rates.degraded", self.degraded_rate()),
         ]))
@@ -333,18 +464,20 @@ pub enum PlannedKind {
     Faulty,
 }
 
-/// Draws one request from the traffic mix — the single source of
-/// request *contents* for both the closed-loop and open-loop
-/// generators, so their plans are interchangeable given the same RNG
-/// stream.
-fn plan_mixed(
-    rng: &mut StdRng,
+/// Request `index` of `traffic` and its category: a pure function of
+/// `(traffic, index)`, whichever thread plans it and in whatever order.
+/// The one planner behind both generators and the overload parity
+/// replay.
+pub fn plan_indexed_request(
+    traffic: &Traffic,
+    index: usize,
     users: &[UserProfile],
     recorder: &Recorder,
-    mix: TrafficMix,
-    fault_intensity: f64,
-    policy_batch: usize,
 ) -> (Request, PlannedKind) {
+    let mut rng = StdRng::seed_from_u64(
+        traffic.seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+    );
+    let mix = traffic.mix;
     let draw = rng.gen_range(0..100u32);
     let user_idx = rng.gen_range(0..users.len());
     let probe_seed = rng.next_u64();
@@ -370,20 +503,14 @@ fn plan_mixed(
             PlannedKind::Impostor,
         )
     } else {
-        let profiles = sweep_profiles(fault_intensity);
+        let profiles = sweep_profiles(traffic.fault_intensity);
         let profile = &profiles[rng.gen_range(0..profiles.len())];
         let clean = recorder.record(user, Condition::Normal, probe_seed);
-        let mut probes = vec![profile.apply(&clean, probe_seed)];
-        // Retry `i`'s seed derivation keeps `i == 1` equal to the
-        // historical single-retry plan, so default (policy_batch 2)
-        // traffic is byte-identical to what it was before the knob.
-        for i in 1..policy_batch.max(1) as u64 {
-            probes.push(recorder.record(
-                user,
-                Condition::Normal,
-                probe_seed ^ 0xDEAD_BEEFu64.wrapping_mul(i),
-            ));
-        }
+        // The fault-injected probe, then one clean retry.
+        let probes = vec![
+            profile.apply(&clean, probe_seed),
+            recorder.record(user, Condition::Normal, probe_seed ^ 0xDEAD_BEEF),
+        ];
         (
             Request::VerifyWithPolicy {
                 user_id: user.id,
@@ -392,60 +519,6 @@ fn plan_mixed(
             PlannedKind::Faulty,
         )
     }
-}
-
-/// The deterministic request plan for `(client, index)`.
-fn plan_request(
-    rng: &mut StdRng,
-    users: &[UserProfile],
-    recorder: &Recorder,
-    config: &LoadConfig,
-    tally: &mut Tally,
-) -> (Request, bool, bool) {
-    // Returns (request, is_genuine, is_impostor); faulty = neither flag.
-    let (request, kind) = plan_mixed(
-        rng,
-        users,
-        recorder,
-        config.mix,
-        config.fault_intensity,
-        config.policy_batch,
-    );
-    match kind {
-        PlannedKind::Genuine => tally.genuine += 1,
-        PlannedKind::Impostor => tally.impostor += 1,
-        PlannedKind::Faulty => tally.faulty += 1,
-    }
-    (
-        request,
-        kind == PlannedKind::Genuine,
-        kind == PlannedKind::Impostor,
-    )
-}
-
-/// The deterministic request plan for open-loop request `index`: a pure
-/// function of `(seed, index)`, independent of any thread's issue
-/// order, so the open-loop run and the closed-loop parity run plan
-/// byte-identical requests per index.
-pub fn plan_indexed_request(
-    seed: u64,
-    index: usize,
-    users: &[UserProfile],
-    recorder: &Recorder,
-    mix: TrafficMix,
-    fault_intensity: f64,
-    policy_batch: usize,
-) -> (Request, PlannedKind) {
-    let mut rng =
-        StdRng::seed_from_u64(seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    plan_mixed(
-        &mut rng,
-        users,
-        recorder,
-        mix,
-        fault_intensity,
-        policy_batch,
-    )
 }
 
 /// A stable, bit-exact signature of one service outcome: decisions
@@ -473,45 +546,6 @@ pub fn outcome_signature(response: &Response) -> String {
     }
 }
 
-fn score_response(
-    response: &Result<Response, String>,
-    genuine: bool,
-    impostor: bool,
-    tally: &mut Tally,
-) {
-    tally.requests += 1;
-    match response {
-        Ok(Response::Decision {
-            accepted, degraded, ..
-        }) => {
-            if *accepted {
-                tally.accepted += 1;
-                if genuine {
-                    tally.genuine_accepted += 1;
-                }
-                if impostor {
-                    tally.impostor_accepted += 1;
-                }
-            } else {
-                tally.rejected += 1;
-            }
-            if *degraded {
-                tally.degraded += 1;
-            }
-        }
-        Ok(Response::Error { kind, .. }) if kind == "retries_exhausted" => tally.exhausted += 1,
-        // Pipeline rejects on hostile probes (e.g. undetectable
-        // vibration) are decisions of a kind too; anything else —
-        // transport failures, bad_request — is an error.
-        Ok(Response::Error { kind, .. })
-            if kind != "bad_request" && kind != "not_enrolled" && kind != "unknown" =>
-        {
-            tally.exhausted += 1
-        }
-        _ => tally.errors += 1,
-    }
-}
-
 /// Runs one closed-loop load generation against `target`.
 ///
 /// `users` are the enrolled identities (probe material comes from
@@ -520,7 +554,7 @@ fn score_response(
 ///
 /// # Panics
 ///
-/// Panics when `config` fails [`LoadConfig::validate`] or `users` is
+/// Panics when the traffic fails [`Traffic::validate`] or `users` is
 /// empty — both are harness-construction bugs, not runtime states.
 pub fn run_load(
     target: &LoadTarget<'_>,
@@ -530,16 +564,18 @@ pub fn run_load(
     monitor: Option<&Monitor>,
 ) -> LoadReport {
     config
+        .traffic
         .validate()
         .unwrap_or_else(|e| panic!("invalid load config: {e}"));
     assert!(!users.is_empty(), "load generation needs enrolled users");
     // A private registry so repeated runs in one process do not blur
     // each other's quantiles.
     let histogram = Registry::new().histogram("serve.load_latency_seconds");
+    let clients = config.clients.max(1);
     let started = Instant::now();
-    let tallies: Vec<(Tally, Vec<u64>)> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..config.clients.max(1))
-            .map(|client_idx| {
+    let per_client: Vec<(Counts, Vec<u64>)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..clients)
+            .map(|client| {
                 let histogram: Histogram = histogram.clone();
                 scope.spawn(move || {
                     let mut caller = match target {
@@ -549,24 +585,22 @@ pub fn run_load(
                                 .unwrap_or_else(|e| panic!("load client connect: {e}")),
                         )),
                     };
-                    let mut rng =
-                        StdRng::seed_from_u64(config.seed.wrapping_add(
-                            (client_idx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                        ));
-                    let mut tally = Tally::default();
+                    let mut counts = Counts::default();
                     let mut echoed_ids = Vec::new();
-                    for _ in 0..config.requests_per_client {
-                        let (request, genuine, impostor) =
-                            plan_request(&mut rng, users, recorder, config, &mut tally);
+                    for j in 0..config.requests_per_client {
+                        let (request, kind) = plan_indexed_request(
+                            &config.traffic,
+                            client + j * clients,
+                            users,
+                            recorder,
+                        );
                         let sent = Instant::now();
                         let (response, echoed) = caller.call(&request);
                         histogram.observe(sent.elapsed().as_secs_f64());
-                        score_response(&response, genuine, impostor, &mut tally);
-                        if let Some(id) = echoed {
-                            echoed_ids.push(id);
-                        }
+                        counts.score(kind, &response);
+                        echoed_ids.extend(echoed);
                     }
-                    (tally, echoed_ids)
+                    (counts, echoed_ids)
                 })
             })
             .collect();
@@ -576,34 +610,18 @@ pub fn run_load(
             .collect()
     });
     let wall_seconds = started.elapsed().as_secs_f64().max(1e-9);
-    let mut total = Tally::default();
+    let mut counts = Counts::default();
     let mut trace_ids = Vec::new();
-    for (t, ids) in &tallies {
-        total.add(t);
+    for (c, ids) in &per_client {
+        counts.add(c);
         trace_ids.extend_from_slice(ids);
     }
     LoadReport {
         config: config.clone(),
         wall_seconds,
-        qps: total.requests as f64 / wall_seconds,
-        latency: LatencySummary {
-            p50: histogram.quantile(0.5),
-            p99: histogram.quantile(0.99),
-            p999: histogram.quantile(0.999),
-            mean: histogram.mean(),
-            max: histogram.max(),
-        },
-        requests: total.requests,
-        accepted: total.accepted,
-        rejected: total.rejected,
-        degraded: total.degraded,
-        exhausted: total.exhausted,
-        errors: total.errors,
-        genuine: total.genuine,
-        genuine_accepted: total.genuine_accepted,
-        impostor: total.impostor,
-        impostor_accepted: total.impostor_accepted,
-        faulty: total.faulty,
+        qps: counts.requests as f64 / wall_seconds,
+        latency: LatencySummary::of(&histogram),
+        counts,
         monitor: monitor.map_or(Value::Null, |m| m.health().to_json()),
         trace_ids,
     }
@@ -641,14 +659,8 @@ pub struct OpenLoopConfig {
     /// Sender threads; must comfortably exceed `rate × per-request
     /// latency` or the offered rate degrades toward closed-loop.
     pub senders: usize,
-    /// Traffic composition.
-    pub mix: TrafficMix,
-    /// Fault intensity for the faulty share.
-    pub fault_intensity: f64,
-    /// Probes per policy request (see [`LoadConfig::policy_batch`]).
-    pub policy_batch: usize,
-    /// Master seed; request `i` derives from `(seed, i)` only.
-    pub seed: u64,
+    /// What the senders send.
+    pub traffic: Traffic,
     /// Optional per-request `deadline_ms` budget.
     pub deadline_ms: Option<u64>,
 }
@@ -763,15 +775,14 @@ fn open_loop_call(
 ///
 /// All request frames are planned and serialized *before* the clock
 /// starts, so the send loop does no probe synthesis and the offered
-/// rate is real. Request `i`'s contents depend only on `(seed, i)` —
-/// identical to what [`plan_indexed_request`] returns — which is what
-/// the admitted-decision parity check in `exp_overload` compares
-/// against.
+/// rate is real. Request `i` is what [`plan_indexed_request`] returns
+/// for `i`, which is what the admitted-decision parity check in
+/// `exp_overload` compares against.
 ///
 /// # Panics
 ///
-/// Panics on nonsensical configs (zero rate or requests) — harness
-/// construction bugs.
+/// Panics when the traffic fails [`Traffic::validate`], on a zero rate
+/// or request count, or on empty `users` — harness-construction bugs.
 pub fn run_open_loop(
     addr: SocketAddr,
     users: &[UserProfile],
@@ -779,6 +790,10 @@ pub fn run_open_loop(
     config: &OpenLoopConfig,
 ) -> OpenLoopReport {
     use mandipass_serve::with_deadline_ms;
+    config
+        .traffic
+        .validate()
+        .unwrap_or_else(|e| panic!("invalid open-loop config: {e}"));
     assert!(
         config.rate_per_sec > 0.0 && config.total_requests > 0,
         "open-loop config needs a positive rate and request count"
@@ -791,15 +806,7 @@ pub fn run_open_loop(
     // Plan phase (off the clock): serialize every frame up front.
     let frames: Vec<Vec<u8>> = (0..config.total_requests)
         .map(|i| {
-            let (request, _) = plan_indexed_request(
-                config.seed,
-                i,
-                users,
-                recorder,
-                config.mix,
-                config.fault_intensity,
-                config.policy_batch,
-            );
+            let (request, _) = plan_indexed_request(&config.traffic, i, users, recorder);
             let mut doc = request.to_json();
             if let Some(ms) = config.deadline_ms {
                 doc = with_deadline_ms(doc, ms);
@@ -889,13 +896,7 @@ pub fn run_open_loop(
         shed_shutdown,
         transport_errors,
         goodput: served as f64 / wall_seconds,
-        latency: LatencySummary {
-            p50: histogram.quantile(0.5),
-            p99: histogram.quantile(0.99),
-            p999: histogram.quantile(0.999),
-            mean: histogram.mean(),
-            max: histogram.max(),
-        },
+        latency: LatencySummary::of(&histogram),
         outcomes,
     }
 }
@@ -918,17 +919,19 @@ mod tests {
                 mean: p99 / 2.0,
                 max: p99 * 2.0,
             },
-            requests: 128,
-            accepted: 80,
-            rejected: 40,
-            degraded: 4,
-            exhausted: 8,
-            errors: 0,
-            genuine: 90,
-            genuine_accepted: 78,
-            impostor: 26,
-            impostor_accepted: 2,
-            faulty: 12,
+            counts: Counts {
+                requests: 128,
+                accepted: 80,
+                rejected: 40,
+                degraded: 4,
+                exhausted: 8,
+                errors: 0,
+                genuine: 90,
+                genuine_accepted: 78,
+                impostor: 26,
+                impostor_accepted: 2,
+                faulty: 12,
+            },
             monitor: Value::Object(vec![(
                 "status".to_string(),
                 Value::String("healthy".to_string()),
@@ -998,7 +1001,7 @@ mod tests {
         assert!(err.contains("x tcp.latency_seconds.p999"), "{err}");
 
         let mut report = fake_report(100.0, 0.01);
-        report.errors = 3;
+        report.counts.errors = 3;
         let doc = serve_document("s", &LoadConfig::default(), 2, &report, &report, None);
         assert!(check(&doc).unwrap_err().contains("counts.errors"));
     }
@@ -1020,10 +1023,38 @@ mod tests {
 
     #[test]
     fn mix_must_sum_to_one_hundred() {
-        let mut config = LoadConfig::default();
-        config.mix.genuine_pct = 50;
-        assert!(config.validate().unwrap_err().contains("mix"));
-        assert!(LoadConfig::default().validate().is_ok());
+        let mut traffic = Traffic::default();
+        traffic.mix.genuine_pct = 50;
+        assert!(traffic.validate().unwrap_err().contains("mix"));
+        assert!(Traffic::default().validate().is_ok());
+    }
+
+    #[test]
+    #[should_panic(expected = "traffic mix sums to 90%")]
+    fn open_loop_rejects_a_mix_that_does_not_sum_to_one_hundred() {
+        let population = mandipass_imu_sim::Population::generate(3, 0xbeef);
+        let mix = TrafficMix {
+            genuine_pct: 60,
+            impostor_pct: 20,
+            faulty_pct: 10,
+        };
+        let config = OpenLoopConfig {
+            rate_per_sec: 100.0,
+            total_requests: 4,
+            senders: 1,
+            traffic: Traffic {
+                mix,
+                ..Traffic::default()
+            },
+            deadline_ms: None,
+        };
+        // Validation panics before any connection is attempted.
+        run_open_loop(
+            SocketAddr::from(([127, 0, 0, 1], 9)),
+            population.users(),
+            &Recorder::default(),
+            &config,
+        );
     }
 
     #[test]
@@ -1038,10 +1069,14 @@ mod tests {
         let population = mandipass_imu_sim::Population::generate(3, 0xbeef);
         let users = population.users();
         let recorder = Recorder::default();
-        let mix = TrafficMix::default();
+        let traffic = |seed| Traffic {
+            fault_intensity: 0.5,
+            seed,
+            ..Traffic::default()
+        };
         for index in [0usize, 1, 7, 63] {
-            let (a, ka) = plan_indexed_request(42, index, users, &recorder, mix, 0.5, 2);
-            let (b, kb) = plan_indexed_request(42, index, users, &recorder, mix, 0.5, 2);
+            let (a, ka) = plan_indexed_request(&traffic(42), index, users, &recorder);
+            let (b, kb) = plan_indexed_request(&traffic(42), index, users, &recorder);
             assert_eq!(ka, kb, "plan kind must be a pure function of (seed, index)");
             assert_eq!(
                 a.to_json().to_json(),
@@ -1049,13 +1084,50 @@ mod tests {
                 "request {index} must serialize identically across plans"
             );
         }
-        let (a, _) = plan_indexed_request(42, 5, users, &recorder, mix, 0.5, 2);
-        let (b, _) = plan_indexed_request(43, 5, users, &recorder, mix, 0.5, 2);
+        let (a, _) = plan_indexed_request(&traffic(42), 5, users, &recorder);
+        let (b, _) = plan_indexed_request(&traffic(43), 5, users, &recorder);
         assert_ne!(
             a.to_json().to_json(),
             b.to_json().to_json(),
             "different seeds must alter the stream"
         );
+    }
+
+    /// The serve benches' one deployment recipe and one request plan:
+    /// equal arguments deploy services that decide bit-identically, and
+    /// a closed-loop run sends exactly the categories the indexed plan
+    /// assigns to `0..clients × requests`.
+    #[test]
+    fn one_cohort_deployment_and_one_indexed_plan() {
+        let stack = TrainedStack::build(crate::EvalScale::smoke_test()).unwrap();
+        let (users, recorder) = (cohort_users(&stack), &stack.recorder);
+        let deploy = || deploy_cohort(&stack, 0.5, 0x5e12, BreakerConfig::default()).unwrap();
+        let (a, b) = (deploy(), deploy());
+        let threshold = |s: &VerifyService| s.system().config().threshold.to_bits();
+        assert_eq!(threshold(&a), threshold(&b));
+        let traffic = Traffic::default();
+        for index in 0..12 {
+            let (request, _) = plan_indexed_request(&traffic, index, users, recorder);
+            assert_eq!(
+                outcome_signature(&a.handle(&request)),
+                outcome_signature(&b.handle(&request)),
+                "request {index}"
+            );
+        }
+
+        let config = LoadConfig {
+            clients: 3,
+            requests_per_client: 5,
+            traffic,
+        };
+        let report = run_load(&LoadTarget::InProcess(&a), users, recorder, &config, None);
+        let mut planned = [0u64; 3];
+        for index in 0..15 {
+            planned[plan_indexed_request(&traffic, index, users, recorder).1 as usize] += 1;
+        }
+        let c = report.counts;
+        assert_eq!(c.requests, 15);
+        assert_eq!([c.genuine, c.impostor, c.faulty], planned);
     }
 
     #[test]

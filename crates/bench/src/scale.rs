@@ -258,12 +258,15 @@ mod tests {
         let err = EvalScale::from_lookup(&env(&[("MANDIPASS_BENCH_SCALE", "smol")])).unwrap_err();
         assert!(err.to_string().contains("MANDIPASS_BENCH_SCALE"), "{err}");
         let err = var_or(
-            &env(&[("MANDIPASS_SERVE_CLIENTS", "-4")]),
-            "MANDIPASS_SERVE_CLIENTS",
-            4usize,
+            &env(&[("MANDIPASS_TRACE_HOLD_SECS", "-4")]),
+            "MANDIPASS_TRACE_HOLD_SECS",
+            0u64,
         )
         .unwrap_err();
-        assert!(err.to_string().contains("MANDIPASS_SERVE_CLIENTS"), "{err}");
+        assert!(
+            err.to_string().contains("MANDIPASS_TRACE_HOLD_SECS"),
+            "{err}"
+        );
 
         let smoke = EvalScale::from_lookup(&env(&[
             ("MANDIPASS_BENCH_SCALE", "smoke"),

@@ -295,7 +295,7 @@ impl CircuitBreaker {
                 }
             }
         };
-        Self::reconcile(&mut inner, health, "admission");
+        Self::reconcile(&mut inner, health);
         verdict
     }
 
@@ -315,14 +315,18 @@ impl CircuitBreaker {
                 } => {
                     if failure {
                         inner.machine = Machine::Open { rejected: 0 };
-                        Self::note(&mut inner, BreakerState::Open, "probe_failed");
+                        Self::record_transition(&mut inner, BreakerState::Open, "probe_failed");
                     } else {
                         *successes += 1;
                         if *successes >= self.config.close_after {
                             inner.machine = Machine::Closed;
                             inner.outcomes.clear();
                             inner.failures = 0;
-                            Self::note(&mut inner, BreakerState::Closed, "probes_recovered");
+                            Self::record_transition(
+                                &mut inner,
+                                BreakerState::Closed,
+                                "probes_recovered",
+                            );
                         }
                     }
                 }
@@ -360,19 +364,8 @@ impl CircuitBreaker {
             inner.machine = Machine::Open { rejected: 0 };
             inner.outcomes.clear();
             inner.failures = 0;
-            Self::note(inner, BreakerState::Open, "error_rate");
+            Self::record_transition(inner, BreakerState::Open, "error_rate");
         }
-    }
-
-    /// Folds a health verdict into the reported state (the Degraded
-    /// overlay) without an admission decision — the service calls this
-    /// when it learns the health status anyway.
-    pub fn note_health(&self, health: HealthStatus) {
-        if !self.config.enabled {
-            return;
-        }
-        let mut inner = self.lock();
-        Self::reconcile(&mut inner, health, "health");
     }
 
     fn effective(machine: &Machine, health: HealthStatus) -> BreakerState {
@@ -386,7 +379,7 @@ impl CircuitBreaker {
 
     /// Detects overlay-driven transitions (Closed↔Degraded) that no
     /// machine change produced.
-    fn reconcile(inner: &mut Inner, health: HealthStatus, _why: &'static str) {
+    fn reconcile(inner: &mut Inner, health: HealthStatus) {
         let effective = Self::effective(&inner.machine, health);
         if effective != inner.reported {
             let reason = match effective {
@@ -398,11 +391,6 @@ impl CircuitBreaker {
             };
             Self::record_transition(inner, effective, reason);
         }
-    }
-
-    /// Records a machine-driven transition to `to`.
-    fn note(inner: &mut Inner, to: BreakerState, reason: &'static str) {
-        Self::record_transition(inner, to, reason);
     }
 
     fn record_transition(inner: &mut Inner, to: BreakerState, reason: &'static str) {

@@ -231,9 +231,15 @@ impl VerifyService {
         self.system.fuse()
     }
 
-    /// Number of enrolled identities.
+    /// Number of identities this service can verify: those with both a
+    /// retained matrix and a template in the enclave (a revoked user
+    /// keeps its matrix but not its template).
     pub fn enrolled(&self) -> usize {
-        self.matrices.len()
+        let enclave = self.system.enclave();
+        self.matrices
+            .keys()
+            .filter(|&&user_id| enclave.contains(user_id))
+            .count()
     }
 
     /// Answers one request. Never panics; failures become
@@ -544,6 +550,29 @@ mod tests {
                 );
             }
             other => panic!("expected a decision, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn health_does_not_count_a_revoked_user() {
+        use mandipass_imu_sim::{Condition, Population, Recorder};
+        let pop = Population::generate(3, 911);
+        let recorder = Recorder::default();
+        let extractor = BiometricExtractor::new(ExtractorConfig::tiny(2)).unwrap();
+        let system = MandiPass::new(extractor, PipelineConfig::default());
+        let dim = system.embedding_dim();
+        let mut service = VerifyService::new(system, VerifyPolicy::default());
+        for user in &pop.users()[..2] {
+            let enrolment: Vec<Recording> = (0..3)
+                .map(|s| recorder.record(user, Condition::Normal, 800 + s))
+                .collect();
+            let matrix = GaussianMatrix::generate(u64::from(user.id), dim);
+            service.enroll(user.id, &enrolment, matrix).unwrap();
+        }
+        service.system_mut().revoke(pop.users()[0].id);
+        match service.handle(&Request::Health) {
+            Response::Health { enrolled, .. } => assert_eq!(enrolled, 1),
+            other => panic!("expected health, got {other:?}"),
         }
     }
 
