@@ -1,7 +1,7 @@
 //! Live-monitoring drift detection: the detector must stay Healthy on
 //! clean genuine traffic and flag Degrading/Alarm under a combined
 //! gain-drift + dropout fault ramp, retaining the failed verifications
-//! in the flight recorder.
+//! as flights in the monitor's record ring.
 //!
 //! Prints the paper-vs-measured table and one JSON document carrying
 //! both phases' health reports plus the final monitor snapshot (the

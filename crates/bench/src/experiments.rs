@@ -35,7 +35,7 @@ use crate::gate::{self, Gate};
 use crate::harness::TrainedStack;
 use crate::load::{
     cohort_users, deploy_cohort, outcome_signature, plan_indexed_request, run_load, run_open_loop,
-    trace_attribution, LoadConfig, LoadReport, LoadTarget, OpenLoopConfig, OpenOutcome, Traffic,
+    trace_attribution, LoadConfig, LoadReport, LoadTarget, OpenLoopConfig, OpenOutcome,
 };
 use crate::scale::{env_or, EvalScale};
 
@@ -1756,7 +1756,7 @@ fn robustness_table(cells: &[RobustnessCell], threshold: f64, intensities: &[f64
 /// `Healthy` over clean genuine traffic and flag `Degrading`/`Alarm`
 /// when a combined gain-drift + dropout ramp
 /// ([`FaultProfile::degradation_ramp`]) corrupts the probes — with the
-/// rejected probes' structured records retained in the flight recorder.
+/// rejected probes' structured records retained as flights.
 ///
 /// Runs against a private [`Monitor`] so concurrent experiments sharing
 /// the process never pollute the windows under test.
@@ -1894,7 +1894,7 @@ pub fn exp_monitor(
     );
     table.push(ExperimentRecord::new(
         "Monitor",
-        "flight recorder retains failed verifications",
+        "flights retain failed verifications",
         "ramp flights > clean flights",
         format!("{} vs {clean_flights}", ramp_flights.len()),
         ramp_flights.len() > clean_flights,
@@ -2137,10 +2137,7 @@ pub fn exp_overload(
     let _span = mandipass_telemetry::span("exp_overload");
     const REQUESTS: usize = 120;
     const WORKERS: usize = 2;
-    let traffic = Traffic {
-        seed: 0x0ea6_10ad,
-        ..Traffic::default()
-    };
+    let seed = 0x0ea6_10ad;
     let (users, recorder) = (cohort_users(stack), &stack.recorder);
 
     // ----- Phase 1 + 2: capacity, then an open-loop sweep ------------
@@ -2171,7 +2168,7 @@ pub fn exp_overload(
     let closed_config = LoadConfig {
         clients: WORKERS * 2,
         requests_per_client: REQUESTS / (WORKERS * 2),
-        traffic,
+        seed,
     };
     let closed = run_load(
         &LoadTarget::Tcp(addr),
@@ -2186,7 +2183,7 @@ pub fn exp_overload(
         rate_per_sec: rate,
         total_requests: total,
         senders,
-        traffic,
+        seed,
         deadline_ms: None,
     };
     // 2.75x capacity offered (gate: >= 2x ACHIEVED) leaves headroom
@@ -2219,7 +2216,7 @@ pub fn exp_overload(
     for report in [&unsaturated, &overload] {
         for (index, outcome) in report.outcomes.iter().enumerate() {
             if let OpenOutcome::Served { signature } = outcome {
-                let (request, _) = plan_indexed_request(&traffic, index, users, recorder);
+                let (request, _) = plan_indexed_request(seed, index, users, recorder);
                 let replay = outcome_signature(&service.handle(&request));
                 parity_checked += 1;
                 if *signature != replay {
@@ -2346,7 +2343,7 @@ pub fn exp_overload(
     ]);
     let metrics = Value::Object(metrics);
     let detail = Value::Object(vec![
-        ("seed".to_string(), Value::Number(traffic.seed as f64)),
+        ("seed".to_string(), Value::Number(seed as f64)),
         (
             "sweep".to_string(),
             Value::Array(vec![unsaturated.to_json(), overload.to_json()]),
@@ -2501,9 +2498,9 @@ fn http_get_body(addr: std::net::SocketAddr, path: &str) -> Result<String, Strin
 
 /// End-to-end request tracing: traced TCP load against an enrolled
 /// deployment, with the latency-attribution report and the sampled
-/// trace-store invariants the ISSUE acceptance criteria name — every
-/// sampled trace's stage durations sum to within its total, error and
-/// degraded requests always carry the captured pipeline span tree, the
+/// trace-store invariants — every sampled trace's stage durations sum
+/// to within its total, an error or degraded request carries the
+/// captured pipeline span tree exactly when it was dispatched, the
 /// trace id echoed to the client locates the same trace over a real
 /// `GET /traces`, and the probabilistic sampler is a bit-identical,
 /// order-independent function of the id.
@@ -2537,10 +2534,7 @@ pub fn exp_trace(
     let load_config = LoadConfig {
         clients: CLIENTS,
         requests_per_client: REQUESTS,
-        traffic: Traffic {
-            seed: 0x7217_4e20,
-            ..Traffic::default()
-        },
+        seed: 0x7217_4e20,
     };
     let tcp = run_load(
         &LoadTarget::Tcp(server.local_addr()),
@@ -2600,11 +2594,11 @@ pub fn exp_trace(
     let traces = monitor.traces();
     let stage_sums_ok =
         !traces.is_empty() && traces.iter().all(|t| t.stage_nanos() <= t.total_nanos);
-    let error_degraded: Vec<&RequestTrace> = traces
+    let spans_ok = spans_exactly_on_dispatched_failures(&traces);
+    let failures = traces
         .iter()
         .filter(|t| t.is_error() || t.is_degraded())
-        .collect();
-    let spans_ok = !error_degraded.is_empty() && error_degraded.iter().all(|t| t.spans.is_some());
+        .count();
     let echoed_unique = {
         let mut ids = tcp.trace_ids.clone();
         let before = ids.len();
@@ -2660,12 +2654,13 @@ pub fn exp_trace(
     reversed_ids.reverse();
     let reversed = replay(&reversed_ids);
     let sorted_ids = |store: &TraceStore| {
-        let mut ids: Vec<u64> = store.traces().iter().map(|t| t.trace_id).collect();
+        let mut ids: Vec<u64> = store.traces().map(|t| t.trace_id).collect();
         ids.sort_unstable();
         ids
     };
     let order_independent = sorted_ids(&first) == sorted_ids(&reversed);
-    let sampler_thinned = first.len() < tcp.trace_ids.len();
+    let kept = first.traces().count();
+    let sampler_thinned = kept < tcp.trace_ids.len();
 
     // The per-stage summary only: the slowest traces and the whole store
     // are served live on `/traces`, not kept in the artifact.
@@ -2727,9 +2722,9 @@ pub fn exp_trace(
     ));
     table.push(ExperimentRecord::new(
         "Trace",
-        "error/degraded traces carry the pipeline span tree",
-        "> 0 such traces, all with spans",
-        format!("{} traces", error_degraded.len()),
+        "error/degraded traces carry spans iff dispatched",
+        "> 0 dispatched, spans exactly on those",
+        format!("{failures} traces"),
         spans_ok,
     ));
     table.push(
@@ -2749,8 +2744,7 @@ pub fn exp_trace(
             "two runs bit-identical, reversal invariant",
             format!(
                 "bit-identical: {bit_identical}, order-independent: {order_independent}, \
-                 kept {}/{}",
-                first.len(),
+                 kept {kept}/{}",
                 tcp.trace_ids.len()
             ),
             bit_identical && order_independent && sampler_thinned,
@@ -2781,6 +2775,34 @@ pub fn exp_trace(
     server.shutdown();
     http.shutdown();
     Ok((table, doc))
+}
+
+/// Error kinds a request carries when it was never dispatched: breaker
+/// sheds, deadline and drain sheds, and frames that never parsed.
+const NEVER_DISPATCHED: [&str; 5] = [
+    "overloaded",
+    "degraded_only",
+    "deadline_exceeded",
+    "shutting_down",
+    "bad_request",
+];
+
+/// exp_trace's `error_degraded_have_spans` check: an error or degraded
+/// trace carries the pipeline span tree if and only if it was
+/// dispatched, and at least one dispatched one exists.
+pub(crate) fn spans_exactly_on_dispatched_failures(traces: &[RequestTrace]) -> bool {
+    let mut dispatched = 0usize;
+    for trace in traces.iter().filter(|t| t.is_error() || t.is_degraded()) {
+        let shed = trace
+            .decision
+            .strip_prefix("error:")
+            .is_some_and(|kind| NEVER_DISPATCHED.contains(&kind));
+        if trace.spans.is_some() == shed {
+            return false;
+        }
+        dispatched += usize::from(!shed);
+    }
+    dispatched > 0
 }
 
 /// `BENCH_trace.json`: the per-stage attribution summary and the

@@ -2,10 +2,11 @@
 //! and the closed-loop and open-loop load generators that drive it.
 //!
 //! `deploy_cohort` enrols and calibrates the deployment. Every request
-//! either generator sends comes from one plan: request `i` of a
-//! [`Traffic`] is [`plan_indexed_request`]`(traffic, i, …)` — a genuine
-//! probe, a cross-user impostor probe, or a fault-injected probe that
-//! exercises the retry/degraded policy path.
+//! either generator sends comes from one plan: request `i` under plan
+//! seed `seed` is [`plan_indexed_request`]`(seed, i, …)` — a genuine
+//! probe (70 %), a cross-user impostor probe (20 %), or a
+//! fault-injected probe that exercises the retry/degraded policy path
+//! (10 %).
 //!
 //! * [`run_load`] is the closed loop: N client threads against the
 //!   in-process [`VerifyService`] or a TCP
@@ -17,7 +18,7 @@
 //!   whatever is outstanding — the only way to drive offered load past
 //!   capacity.
 //!
-//! Request contents derive only from `(traffic, index)`, never from
+//! Request contents derive only from `(seed, index)`, never from
 //! timing or thread, so two runs of one config send the same bytes: the
 //! transport-parity check of `exp_serve`, the deterministic decision
 //! counts of `BENCH_serve.json` and the admitted-decision parity of
@@ -126,72 +127,16 @@ pub(crate) fn deploy_cohort(
     Ok(Arc::new(service))
 }
 
-/// Traffic composition in whole percent; the three shares must sum
-/// to 100 (checked by [`Traffic::validate`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TrafficMix {
-    /// Genuine probes from the claimed user.
-    pub genuine_pct: u32,
-    /// Probes recorded from a *different* enrolled user.
-    pub impostor_pct: u32,
-    /// Genuine probes with an injected sensor fault, sent through the
-    /// policy path (retry + degraded fallback).
-    pub faulty_pct: u32,
-}
-
-impl Default for TrafficMix {
-    fn default() -> Self {
-        TrafficMix {
-            genuine_pct: 70,
-            impostor_pct: 20,
-            faulty_pct: 10,
-        }
-    }
-}
-
-/// What a generator sends: request `i` is
-/// [`plan_indexed_request`]`(self, i, …)`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Traffic {
-    /// Traffic composition.
-    pub mix: TrafficMix,
-    /// Fault intensity (0..=1) for the faulty share.
-    pub fault_intensity: f64,
-    /// Master seed of the plan.
-    pub seed: u64,
-}
-
-impl Default for Traffic {
-    fn default() -> Self {
-        Traffic {
-            mix: TrafficMix::default(),
-            fault_intensity: 0.75,
-            seed: 0x5e12_4e20,
-        }
-    }
-}
-
-impl Traffic {
-    /// Checks internal consistency.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message when the mix does not sum to 100 % or the
-    /// intensity leaves `[0, 1]`.
-    pub fn validate(&self) -> Result<(), String> {
-        let sum = self.mix.genuine_pct + self.mix.impostor_pct + self.mix.faulty_pct;
-        if sum != 100 {
-            return Err(format!("traffic mix sums to {sum}%, expected 100%"));
-        }
-        if !(0.0..=1.0).contains(&self.fault_intensity) {
-            return Err(format!(
-                "fault intensity {} outside [0, 1]",
-                self.fault_intensity
-            ));
-        }
-        Ok(())
-    }
-}
+/// Share of planned requests, in whole percent, that are genuine
+/// probes from the claimed user.
+const GENUINE_PCT: u32 = 70;
+/// Share of planned requests, in whole percent, that are probes recorded
+/// from a *different* enrolled user. The remaining 10 % are genuine
+/// probes with an injected sensor fault, sent through the policy path
+/// (retry + degraded fallback).
+const IMPOSTOR_PCT: u32 = 20;
+/// Fault intensity (0..=1) of the faulty share.
+const FAULT_INTENSITY: f64 = 0.75;
 
 /// One closed-loop run.
 #[derive(Debug, Clone, PartialEq)]
@@ -200,8 +145,8 @@ pub struct LoadConfig {
     pub clients: usize,
     /// Requests each client issues.
     pub requests_per_client: usize,
-    /// What the clients send.
-    pub traffic: Traffic,
+    /// Seed of the request plan the clients send.
+    pub seed: u64,
 }
 
 impl Default for LoadConfig {
@@ -209,31 +154,19 @@ impl Default for LoadConfig {
         LoadConfig {
             clients: 4,
             requests_per_client: 32,
-            traffic: Traffic::default(),
+            seed: 0x5e12_4e20,
         }
     }
 }
 
 impl LoadConfig {
     pub(crate) fn serialise(&self) -> Value {
-        let Traffic {
-            mix,
-            fault_intensity,
-            seed,
-        } = self.traffic;
-        let mut fields = crate::gate::numbers(&[
+        Value::Object(crate::gate::numbers(&[
             ("clients", self.clients as f64),
             ("requests_per_client", self.requests_per_client as f64),
-            ("fault_intensity", fault_intensity),
-            ("seed", seed as f64),
-        ]);
-        let mix = crate::gate::numbers(&[
-            ("genuine_pct", f64::from(mix.genuine_pct)),
-            ("impostor_pct", f64::from(mix.impostor_pct)),
-            ("faulty_pct", f64::from(mix.faulty_pct)),
-        ]);
-        fields.push(("mix".to_string(), Value::Object(mix)));
-        Value::Object(fields)
+            ("fault_intensity", FAULT_INTENSITY),
+            ("seed", self.seed as f64),
+        ]))
     }
 }
 
@@ -464,25 +397,23 @@ pub enum PlannedKind {
     Faulty,
 }
 
-/// Request `index` of `traffic` and its category: a pure function of
-/// `(traffic, index)`, whichever thread plans it and in whatever order.
-/// The one planner behind both generators and the overload parity
-/// replay.
+/// Request `index` of the plan seeded `seed` and its category: a pure
+/// function of `(seed, index)`, whichever thread plans it and in
+/// whatever order. The one planner behind both generators and the
+/// overload parity replay.
 pub fn plan_indexed_request(
-    traffic: &Traffic,
+    seed: u64,
     index: usize,
     users: &[UserProfile],
     recorder: &Recorder,
 ) -> (Request, PlannedKind) {
-    let mut rng = StdRng::seed_from_u64(
-        traffic.seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-    );
-    let mix = traffic.mix;
+    let mut rng =
+        StdRng::seed_from_u64(seed ^ (index as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
     let draw = rng.gen_range(0..100u32);
     let user_idx = rng.gen_range(0..users.len());
     let probe_seed = rng.next_u64();
     let user = &users[user_idx];
-    if draw < mix.genuine_pct {
+    if draw < GENUINE_PCT {
         let probe = recorder.record(user, Condition::Normal, probe_seed);
         (
             Request::Verify {
@@ -491,7 +422,7 @@ pub fn plan_indexed_request(
             },
             PlannedKind::Genuine,
         )
-    } else if draw < mix.genuine_pct + mix.impostor_pct && users.len() > 1 {
+    } else if draw < GENUINE_PCT + IMPOSTOR_PCT && users.len() > 1 {
         let offset = 1 + rng.gen_range(0..users.len() - 1);
         let other = &users[(user_idx + offset) % users.len()];
         let probe = recorder.record(other, Condition::Normal, probe_seed);
@@ -503,7 +434,7 @@ pub fn plan_indexed_request(
             PlannedKind::Impostor,
         )
     } else {
-        let profiles = sweep_profiles(traffic.fault_intensity);
+        let profiles = sweep_profiles(FAULT_INTENSITY);
         let profile = &profiles[rng.gen_range(0..profiles.len())];
         let clean = recorder.record(user, Condition::Normal, probe_seed);
         // The fault-injected probe, then one clean retry.
@@ -554,8 +485,8 @@ pub fn outcome_signature(response: &Response) -> String {
 ///
 /// # Panics
 ///
-/// Panics when the traffic fails [`Traffic::validate`] or `users` is
-/// empty — both are harness-construction bugs, not runtime states.
+/// Panics when `users` is empty — a harness-construction bug, not a
+/// runtime state.
 pub fn run_load(
     target: &LoadTarget<'_>,
     users: &[UserProfile],
@@ -563,10 +494,6 @@ pub fn run_load(
     config: &LoadConfig,
     monitor: Option<&Monitor>,
 ) -> LoadReport {
-    config
-        .traffic
-        .validate()
-        .unwrap_or_else(|e| panic!("invalid load config: {e}"));
     assert!(!users.is_empty(), "load generation needs enrolled users");
     // A private registry so repeated runs in one process do not blur
     // each other's quantiles.
@@ -589,7 +516,7 @@ pub fn run_load(
                     let mut echoed_ids = Vec::new();
                     for j in 0..config.requests_per_client {
                         let (request, kind) = plan_indexed_request(
-                            &config.traffic,
+                            config.seed,
                             client + j * clients,
                             users,
                             recorder,
@@ -659,8 +586,8 @@ pub struct OpenLoopConfig {
     /// Sender threads; must comfortably exceed `rate × per-request
     /// latency` or the offered rate degrades toward closed-loop.
     pub senders: usize,
-    /// What the senders send.
-    pub traffic: Traffic,
+    /// Seed of the request plan the senders send.
+    pub seed: u64,
     /// Optional per-request `deadline_ms` budget.
     pub deadline_ms: Option<u64>,
 }
@@ -781,8 +708,8 @@ fn open_loop_call(
 ///
 /// # Panics
 ///
-/// Panics when the traffic fails [`Traffic::validate`], on a zero rate
-/// or request count, or on empty `users` — harness-construction bugs.
+/// Panics on a zero rate or request count, or on empty `users` —
+/// harness-construction bugs.
 pub fn run_open_loop(
     addr: SocketAddr,
     users: &[UserProfile],
@@ -790,10 +717,6 @@ pub fn run_open_loop(
     config: &OpenLoopConfig,
 ) -> OpenLoopReport {
     use mandipass_serve::with_deadline_ms;
-    config
-        .traffic
-        .validate()
-        .unwrap_or_else(|e| panic!("invalid open-loop config: {e}"));
     assert!(
         config.rate_per_sec > 0.0 && config.total_requests > 0,
         "open-loop config needs a positive rate and request count"
@@ -806,7 +729,7 @@ pub fn run_open_loop(
     // Plan phase (off the clock): serialize every frame up front.
     let frames: Vec<Vec<u8>> = (0..config.total_requests)
         .map(|i| {
-            let (request, _) = plan_indexed_request(&config.traffic, i, users, recorder);
+            let (request, _) = plan_indexed_request(config.seed, i, users, recorder);
             let mut doc = request.to_json();
             if let Some(ms) = config.deadline_ms {
                 doc = with_deadline_ms(doc, ms);
@@ -904,7 +827,9 @@ pub fn run_open_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::{overload_document, serve_document, trace_document};
+    use crate::experiments::{
+        overload_document, serve_document, spans_exactly_on_dispatched_failures, trace_document,
+    };
     use crate::gate::{check, compare};
 
     fn fake_report(qps: f64, p99: f64) -> LoadReport {
@@ -1022,39 +947,40 @@ mod tests {
     }
 
     #[test]
-    fn mix_must_sum_to_one_hundred() {
-        let mut traffic = Traffic::default();
-        traffic.mix.genuine_pct = 50;
-        assert!(traffic.validate().unwrap_err().contains("mix"));
-        assert!(Traffic::default().validate().is_ok());
-    }
-
-    #[test]
-    #[should_panic(expected = "traffic mix sums to 90%")]
-    fn open_loop_rejects_a_mix_that_does_not_sum_to_one_hundred() {
-        let population = mandipass_imu_sim::Population::generate(3, 0xbeef);
-        let mix = TrafficMix {
-            genuine_pct: 60,
-            impostor_pct: 20,
-            faulty_pct: 10,
+    fn failure_spans_follow_dispatch_exactly() {
+        let spans = || Some(mandipass_telemetry::try_capture(|| ()).1.unwrap());
+        let trace = |decision: &str, spans| {
+            let mut t = mandipass_telemetry::RequestTrace::new(1, "verify", decision);
+            t.spans = spans;
+            t
         };
-        let config = OpenLoopConfig {
-            rate_per_sec: 100.0,
-            total_requests: 4,
-            senders: 1,
-            traffic: Traffic {
-                mix,
-                ..Traffic::default()
-            },
-            deadline_ms: None,
-        };
-        // Validation panics before any connection is attempted.
-        run_open_loop(
-            SocketAddr::from(([127, 0, 0, 1], 9)),
-            population.users(),
-            &Recorder::default(),
-            &config,
-        );
+        let dispatched = trace("error:not_enrolled", spans());
+        let degraded = trace("degraded", spans());
+        let shed = trace("error:degraded_only", None);
+        let accepted = trace("accepted", None);
+        assert!(spans_exactly_on_dispatched_failures(&[
+            dispatched.clone(),
+            degraded,
+            shed.clone(),
+            accepted,
+            trace("error:overloaded", None),
+            trace("error:bad_request", None),
+        ]));
+        // A dispatched error without spans fails.
+        assert!(!spans_exactly_on_dispatched_failures(&[
+            dispatched.clone(),
+            trace("error:retries_exhausted", None),
+        ]));
+        // A breaker shed with spans fails.
+        assert!(!spans_exactly_on_dispatched_failures(&[
+            dispatched.clone(),
+            trace("error:overloaded", spans()),
+        ]));
+        // Sheds without spans alone fail: no dispatched failure exists.
+        assert!(!spans_exactly_on_dispatched_failures(std::slice::from_ref(
+            &shed
+        )));
+        assert!(spans_exactly_on_dispatched_failures(&[shed, dispatched]));
     }
 
     #[test]
@@ -1069,14 +995,9 @@ mod tests {
         let population = mandipass_imu_sim::Population::generate(3, 0xbeef);
         let users = population.users();
         let recorder = Recorder::default();
-        let traffic = |seed| Traffic {
-            fault_intensity: 0.5,
-            seed,
-            ..Traffic::default()
-        };
         for index in [0usize, 1, 7, 63] {
-            let (a, ka) = plan_indexed_request(&traffic(42), index, users, &recorder);
-            let (b, kb) = plan_indexed_request(&traffic(42), index, users, &recorder);
+            let (a, ka) = plan_indexed_request(42, index, users, &recorder);
+            let (b, kb) = plan_indexed_request(42, index, users, &recorder);
             assert_eq!(ka, kb, "plan kind must be a pure function of (seed, index)");
             assert_eq!(
                 a.to_json().to_json(),
@@ -1084,8 +1005,8 @@ mod tests {
                 "request {index} must serialize identically across plans"
             );
         }
-        let (a, _) = plan_indexed_request(&traffic(42), 5, users, &recorder);
-        let (b, _) = plan_indexed_request(&traffic(43), 5, users, &recorder);
+        let (a, _) = plan_indexed_request(42, 5, users, &recorder);
+        let (b, _) = plan_indexed_request(43, 5, users, &recorder);
         assert_ne!(
             a.to_json().to_json(),
             b.to_json().to_json(),
@@ -1105,9 +1026,13 @@ mod tests {
         let (a, b) = (deploy(), deploy());
         let threshold = |s: &VerifyService| s.system().config().threshold.to_bits();
         assert_eq!(threshold(&a), threshold(&b));
-        let traffic = Traffic::default();
+        let config = LoadConfig {
+            clients: 3,
+            requests_per_client: 5,
+            ..LoadConfig::default()
+        };
         for index in 0..12 {
-            let (request, _) = plan_indexed_request(&traffic, index, users, recorder);
+            let (request, _) = plan_indexed_request(config.seed, index, users, recorder);
             assert_eq!(
                 outcome_signature(&a.handle(&request)),
                 outcome_signature(&b.handle(&request)),
@@ -1115,15 +1040,10 @@ mod tests {
             );
         }
 
-        let config = LoadConfig {
-            clients: 3,
-            requests_per_client: 5,
-            traffic,
-        };
         let report = run_load(&LoadTarget::InProcess(&a), users, recorder, &config, None);
         let mut planned = [0u64; 3];
         for index in 0..15 {
-            planned[plan_indexed_request(&traffic, index, users, recorder).1 as usize] += 1;
+            planned[plan_indexed_request(config.seed, index, users, recorder).1 as usize] += 1;
         }
         let c = report.counts;
         assert_eq!(c.requests, 15);

@@ -368,7 +368,7 @@ impl MandiPass {
             attempts += 1;
             let report = quality::assess(probe, &policy.quality);
             let degraded = !report.ok();
-            // Capture the attempt's span tree for the flight recorder;
+            // Capture the attempt's span tree for its flight record;
             // inside an outer capture (benchmarks, the determinism suite)
             // this yields and records nothing.
             let (result, spans) = if report.ok() {
@@ -406,7 +406,7 @@ impl MandiPass {
         let mut flight = VerifyFlight::new(user_id, FlightOutcome::Exhausted);
         flight.attempts = attempts;
         flight.rejects = rejects.clone();
-        self.monitor.record_flight(flight);
+        self.monitor.record_flight(flight, None);
         Err(MandiPassError::RetriesExhausted {
             attempts,
             reasons: rejects,
@@ -416,8 +416,8 @@ impl MandiPass {
     /// Records one rejected policy attempt: a `<family>.reject.<reason>`
     /// counter and an enclave audit event per reason, then the
     /// `<family>:<reasons>` label in the monitor, a flight record (with
-    /// the quality report and, when one was captured, the attempt's span
-    /// tree as detail) and the decision's reject list.
+    /// the quality report as detail and, when one was captured, the
+    /// attempt's span tree) and the decision's reject list.
     fn reject(
         &self,
         user_id: u32,
@@ -439,12 +439,8 @@ impl MandiPass {
         self.monitor.observe_reject(&label);
         let mut flight = VerifyFlight::new(user_id, FlightOutcome::Rejected);
         flight.rejects.push(label.clone());
-        let mut detail = vec![("quality".to_string(), report.to_json())];
-        if let Some(tree) = spans {
-            detail.push(("spans".to_string(), tree.to_json()));
-        }
-        flight.detail = Value::Object(detail);
-        self.monitor.record_flight(flight);
+        flight.detail = Value::Object(vec![("quality".to_string(), report.to_json())]);
+        self.monitor.record_flight(flight, spans);
         rejects.push(label);
     }
 
@@ -485,7 +481,7 @@ impl MandiPass {
         let mut flight = VerifyFlight::new(user_id, FlightOutcome::Degraded);
         flight.distance = Some(outcome.distance);
         flight.threshold = Some(outcome.threshold);
-        self.monitor.record_flight(flight);
+        self.monitor.record_flight(flight, None);
         if outcome.accepted {
             mandipass_telemetry::counter!("verify.accept").inc();
         } else {
@@ -544,7 +540,7 @@ impl MandiPass {
             let mut flight = VerifyFlight::new(user_id, FlightOutcome::Rejected);
             flight.distance = Some(outcome.distance);
             flight.threshold = Some(outcome.threshold);
-            self.monitor.record_flight(flight);
+            self.monitor.record_flight(flight, None);
         }
     }
 }

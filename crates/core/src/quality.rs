@@ -130,8 +130,8 @@ impl QualityReport {
             .collect()
     }
 
-    /// Serialises the report — the payload the monitor's flight recorder
-    /// attaches to rejected verifications.
+    /// Serialises the report — the `detail` payload of a rejected
+    /// verification's flight record.
     pub fn to_json(&self) -> mandipass_util::json::Value {
         use mandipass_util::json::Value;
         let num = |v: f64| {

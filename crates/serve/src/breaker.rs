@@ -33,7 +33,7 @@
 //!
 //! The breaker itself is transport-free; [`crate::service`] consults it
 //! per request and flushes transition events to the drift monitor's
-//! flight recorder, the `serve.breaker.state` gauge, and the
+//! record ring (as flights), the `serve.breaker.state` gauge, and the
 //! `serve.breaker.transitions` counter. The server's shed paths (queue
 //! full, blown deadline) feed it failures via
 //! [`CircuitBreaker::record_shed`] — deliberately *not* an
@@ -413,7 +413,7 @@ impl CircuitBreaker {
     }
 
     /// Drains transitions recorded since the last drain — the service
-    /// flushes these to the flight recorder, gauge, and counter.
+    /// flushes these to the monitor's flights, gauge, and counter.
     pub fn take_transitions(&self) -> Vec<Transition> {
         std::mem::take(&mut self.lock().pending)
     }

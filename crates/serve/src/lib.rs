@@ -40,7 +40,7 @@
 //!   to the shed rate (sustained sheds open it; cooldown admits
 //!   deterministic half-open probes). Its state rides every `health`
 //!   response and the monitor's `GET /health` document, and every
-//!   transition lands in the flight recorder.
+//!   transition lands in the monitor's record ring as a flight.
 //! * [`chaos`] — [`ChaosProxy`]: a seed-deterministic in-process TCP
 //!   fault proxy (frames split at arbitrary byte boundaries, byte
 //!   trickle, abrupt mid-frame closes, stalled reads, connect floods)

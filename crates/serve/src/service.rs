@@ -164,7 +164,7 @@ impl VerifyService {
 
     /// Flushes breaker transitions recorded since the last flush to the
     /// `serve.breaker.state` gauge, the `serve.breaker.transitions`
-    /// counter, the flight recorder, and the monitor's published
+    /// counter, the monitor's flights, and the monitor's published
     /// breaker state (surfaced on `GET /health`).
     fn flush_breaker_events(&self) {
         for transition in self.breaker.take_transitions() {
@@ -504,6 +504,56 @@ mod tests {
         assert_eq!(trace.decision, "error:not_enrolled");
         assert_eq!(trace.reason, Some(mandipass_telemetry::SampleReason::Error));
         assert!(trace.spans.is_some());
+    }
+
+    #[test]
+    fn a_rejected_verify_leaves_one_flight_under_the_request_id() {
+        use mandipass_imu_sim::{Condition, Population, Recorder};
+        let pop = Population::generate(3, 913);
+        let recorder = Recorder::default();
+        let extractor = BiometricExtractor::new(ExtractorConfig::tiny(2)).unwrap();
+        let mut system = MandiPass::new(extractor, PipelineConfig::default());
+        let monitor: &'static Monitor = Box::leak(Box::new(Monitor::default()));
+        system.set_monitor(monitor);
+        let (user, impostor) = (&pop.users()[0], &pop.users()[1]);
+        let enrolment: Vec<Recording> = (0..3)
+            .map(|s| recorder.record(user, Condition::Normal, 900 + s))
+            .collect();
+        let matrix = GaussianMatrix::generate(9, system.embedding_dim());
+        let mut service = VerifyService::new(system, VerifyPolicy::default());
+        service.enroll(user.id, &enrolment, matrix).unwrap();
+        // An untrained network may embed everyone alike; a near-zero
+        // threshold rejects the impostor all the same.
+        service.system_mut().config_mut().threshold = 1e-9;
+        let response = service.handle(&Request::Verify {
+            user_id: user.id,
+            probe: recorder.record(impostor, Condition::Normal, 950),
+        });
+        assert!(
+            matches!(
+                response,
+                Response::Decision {
+                    accepted: false,
+                    ..
+                }
+            ),
+            "{response:?}"
+        );
+        let traces = monitor.traces();
+        assert_eq!(traces.len(), 1, "the flight is not a request trace");
+        let request_id = traces[0].trace_id;
+        let flights = monitor.flights();
+        assert_eq!(flights.len(), 1);
+        assert_eq!(flights[0].trace_id, Some(request_id));
+        assert_eq!(
+            flights[0].flight.outcome,
+            mandipass_telemetry::FlightOutcome::Rejected
+        );
+        let found = monitor
+            .find_trace(request_id)
+            .unwrap_or_else(|| panic!("the request trace must be findable"));
+        assert_eq!(found.endpoint, "verify");
+        assert_eq!(found.seq, traces[0].seq);
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! * `GET /metrics` — Prometheus text format 0.0.4 (`# HELP` + `# TYPE`
 //!   per family)
 //! * `GET /health`  — the [`crate::drift::HealthReport`] as JSON
-//! * `GET /flight`  — the retained flight records as JSON
-//! * `GET /traces`  — the sampled request traces as JSON
+//! * `GET /flight`  — the flights in the record ring as JSON
+//! * `GET /traces`  — the sampled request traces in that ring as JSON
 //! * `GET /profile/cpu`   — the process CPU profile as folded stacks
 //!   (`?format=json` for the nested call tree)
 //! * `GET /profile/alloc` — the attributed allocation profile, same
@@ -504,7 +504,7 @@ mod tests {
         m.observe_reject("dead_axis");
         let mut flight = VerifyFlight::new(2, FlightOutcome::Rejected);
         flight.distance = Some(0.9);
-        m.record_flight(flight);
+        m.record_flight(flight, None);
         let mut trace = crate::trace::RequestTrace::new(0xabc, "verify", "rejected");
         trace.total_nanos = 1200;
         trace.stage("decode", 200);

@@ -1,14 +1,13 @@
-//! A bounded ring of structured records for failed verifications.
+//! Flights: the structured facts of one failed verification.
 //!
-//! Aggregate counters say *how many* verifications failed; a production
-//! incident needs to know *what happened* in the last few. The flight
-//! recorder keeps one [`VerifyFlight`] per rejected, degraded, or
-//! retries-exhausted verification — distance, policy decisions, reject
-//! labels, and an open-ended JSON `detail` payload (quality report, span
-//! tree) that the telemetry crate never has to interpret, so the core
-//! crate can attach its own types without a dependency cycle.
-
-use std::collections::VecDeque;
+//! Aggregate counters say *how many* verifications failed; an incident
+//! needs *what happened* in the last few. A [`VerifyFlight`] holds what
+//! a request trace lacks about one rejected, degraded, or
+//! retries-exhausted verification (or breaker transition), including an
+//! open-ended JSON `detail` (the quality report) the telemetry crate
+//! never interprets, so core can attach its own types without a
+//! dependency cycle. [`crate::Monitor::record_flight`] stores it as a
+//! [`crate::trace::FlightRecord`] in the one request-trace ring.
 
 use mandipass_util::json::Value;
 
@@ -39,14 +38,10 @@ impl FlightOutcome {
     }
 }
 
-/// One recorded failed/degraded verification.
+/// The facts of one failed/degraded verification that its store record
+/// does not already carry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerifyFlight {
-    /// Monotonic per-recorder sequence number (assigned on record, never
-    /// reused after eviction).
-    pub seq: u64,
-    /// Timestamp of the record ([`crate::clock::now`] units).
-    pub timestamp: u64,
     /// The user the verification targeted.
     pub user_id: u32,
     /// Why this flight was recorded.
@@ -60,22 +55,16 @@ pub struct VerifyFlight {
     /// Reject labels accumulated before the decision
     /// (`quality:dead_axis`, `pipeline:dsp`, …).
     pub rejects: Vec<String>,
-    /// Structured payload the producer attached (quality report, span
-    /// tree); [`Value::Null`] when none.
+    /// Structured payload the producer attached (quality report, breaker
+    /// transition); [`Value::Null`] when none.
     pub detail: Value,
-    /// The request trace this flight belongs to, when the verification
-    /// ran inside a traced serve request (see [`crate::trace`]).
-    pub trace_id: Option<u64>,
 }
 
 impl VerifyFlight {
-    /// A record with everything but the identity fields defaulted;
-    /// producers fill what they know, [`FlightRecorder::record_at`] assigns
-    /// `seq` and `timestamp`.
+    /// A flight with everything but the user and outcome defaulted;
+    /// producers fill what they know.
     pub fn new(user_id: u32, outcome: FlightOutcome) -> Self {
         VerifyFlight {
-            seq: 0,
-            timestamp: 0,
             user_id,
             outcome,
             distance: None,
@@ -83,116 +72,29 @@ impl VerifyFlight {
             attempts: 1,
             rejects: Vec::new(),
             detail: Value::Null,
-            trace_id: None,
         }
     }
 
-    /// Serialises the record.
-    pub fn to_json(&self) -> Value {
-        let opt = |v: Option<f64>| match v {
-            Some(x) if x.is_finite() => Value::Number(x),
-            _ => Value::Null,
+    /// The flight's JSON members, in the order `/flight` lists them.
+    pub(crate) fn members(&self) -> Vec<(String, Value)> {
+        let num = |v: Option<f64>| {
+            v.filter(|x| x.is_finite())
+                .map_or(Value::Null, Value::Number)
         };
-        Value::Object(vec![
-            ("seq".to_string(), Value::Number(self.seq as f64)),
-            (
-                "timestamp".to_string(),
-                Value::Number(self.timestamp as f64),
-            ),
+        let text = |s: &str| Value::String(s.to_string());
+        let rejects = self.rejects.iter().map(|r| text(r)).collect();
+        vec![
             (
                 "user_id".to_string(),
                 Value::Number(f64::from(self.user_id)),
             ),
-            (
-                "outcome".to_string(),
-                Value::String(self.outcome.label().to_string()),
-            ),
-            ("distance".to_string(), opt(self.distance)),
-            ("threshold".to_string(), opt(self.threshold)),
+            ("outcome".to_string(), text(self.outcome.label())),
+            ("distance".to_string(), num(self.distance)),
+            ("threshold".to_string(), num(self.threshold)),
             ("attempts".to_string(), Value::Number(self.attempts as f64)),
-            (
-                "rejects".to_string(),
-                Value::Array(
-                    self.rejects
-                        .iter()
-                        .map(|r| Value::String(r.clone()))
-                        .collect(),
-                ),
-            ),
+            ("rejects".to_string(), Value::Array(rejects)),
             ("detail".to_string(), self.detail.clone()),
-            (
-                "trace_id".to_string(),
-                self.trace_id.map_or(Value::Null, |id| {
-                    Value::String(crate::trace::format_trace_id(id))
-                }),
-            ),
-        ])
-    }
-}
-
-/// The bounded ring of [`VerifyFlight`] records, oldest evicted first.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    ring: VecDeque<VerifyFlight>,
-    capacity: usize,
-    next_seq: u64,
-}
-
-impl FlightRecorder {
-    /// A recorder retaining at most `capacity` records (minimum 1).
-    pub fn new(capacity: usize) -> Self {
-        FlightRecorder {
-            ring: VecDeque::new(),
-            capacity: capacity.max(1),
-            next_seq: 0,
-        }
-    }
-
-    /// Records one flight at time `now`, assigning its sequence number.
-    pub fn record_at(&mut self, now: u64, mut flight: VerifyFlight) {
-        flight.seq = self.next_seq;
-        flight.timestamp = now;
-        self.next_seq += 1;
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(flight);
-    }
-
-    /// The retained records, oldest first.
-    pub fn flights(&self) -> Vec<VerifyFlight> {
-        self.ring.iter().cloned().collect()
-    }
-
-    /// Number of retained records.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Maximum number of retained records.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Total flights ever recorded, including evicted ones.
-    pub fn total_recorded(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Serialises the retained records, oldest first.
-    pub fn to_json(&self) -> Value {
-        Value::Array(self.ring.iter().map(VerifyFlight::to_json).collect())
-    }
-
-    /// Forgets the retained records (the sequence counter survives, like
-    /// the enclave audit ring's).
-    pub fn clear(&mut self) {
-        self.ring.clear();
+        ]
     }
 }
 
@@ -201,76 +103,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn recorder_assigns_seq_and_timestamp() {
-        let mut r = FlightRecorder::new(8);
-        r.record_at(5, VerifyFlight::new(7, FlightOutcome::Rejected));
-        r.record_at(6, VerifyFlight::new(7, FlightOutcome::Exhausted));
-        let flights = r.flights();
-        assert_eq!(flights.len(), 2);
-        assert_eq!(flights[0].seq, 0);
-        assert_eq!(flights[0].timestamp, 5);
-        assert_eq!(flights[1].seq, 1);
-        assert_eq!(r.total_recorded(), 2);
-    }
-
-    #[test]
-    fn ring_evicts_oldest_but_keeps_seq() {
-        let mut r = FlightRecorder::new(2);
-        for i in 0..5u64 {
-            r.record_at(i, VerifyFlight::new(1, FlightOutcome::Rejected));
-        }
-        assert_eq!(r.len(), 2);
-        assert_eq!(r.capacity(), 2);
-        let seqs: Vec<u64> = r.flights().iter().map(|f| f.seq).collect();
-        assert_eq!(seqs, vec![3, 4]);
-        assert_eq!(r.total_recorded(), 5);
-    }
-
-    #[test]
-    fn zero_capacity_is_clamped_to_one() {
-        let mut r = FlightRecorder::new(0);
-        r.record_at(1, VerifyFlight::new(1, FlightOutcome::Degraded));
-        r.record_at(2, VerifyFlight::new(2, FlightOutcome::Degraded));
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.flights()[0].user_id, 2);
-    }
-
-    #[test]
-    fn flight_serialises_all_fields() {
-        let mut flight = VerifyFlight::new(3, FlightOutcome::Exhausted);
-        flight.distance = Some(0.71);
-        flight.threshold = Some(0.5485);
-        flight.attempts = 3;
-        flight.rejects = vec!["quality:dead_axis".to_string()];
-        flight.detail = Value::Object(vec![("energy_std".to_string(), Value::Number(12.0))]);
-        flight.trace_id = Some(0xfeed);
-        let mut r = FlightRecorder::new(4);
-        r.record_at(9, flight);
-        let json = r.to_json().to_json();
-        assert!(json.contains("\"outcome\":\"exhausted\""));
-        assert!(json.contains("\"trace_id\":\"000000000000feed\""));
-        assert!(json.contains("\"distance\":0.71"));
-        assert!(json.contains("\"rejects\":[\"quality:dead_axis\"]"));
-        assert!(json.contains("\"energy_std\":12"));
-        assert!(json.contains("\"timestamp\":9"));
-    }
-
-    #[test]
     fn outcome_labels_are_stable() {
         assert_eq!(FlightOutcome::Rejected.label(), "rejected");
         assert_eq!(FlightOutcome::Degraded.label(), "degraded");
         assert_eq!(FlightOutcome::Exhausted.label(), "exhausted");
         assert_eq!(FlightOutcome::Breaker.label(), "breaker");
-    }
-
-    #[test]
-    fn clear_keeps_total() {
-        let mut r = FlightRecorder::new(4);
-        r.record_at(1, VerifyFlight::new(1, FlightOutcome::Rejected));
-        r.clear();
-        assert!(r.is_empty());
-        assert_eq!(r.total_recorded(), 1);
-        r.record_at(2, VerifyFlight::new(1, FlightOutcome::Rejected));
-        assert_eq!(r.flights()[0].seq, 1);
     }
 }

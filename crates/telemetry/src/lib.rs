@@ -32,7 +32,8 @@
 //!   trace ids (hex over JSON), per-request stage timings with the
 //!   captured pipeline span tree, and a bounded [`TraceStore`] whose
 //!   sampler keeps every error/degraded/slow request and a
-//!   deterministic, order-independent fraction of the rest.
+//!   deterministic, order-independent fraction of the rest. The same
+//!   ring holds the [`flight`] records of failed verifications.
 //! * [`profile`] + [`alloc`] — continuous profiling: every span close
 //!   feeds a deterministic process-wide call tree (self/total time,
 //!   counts, bucketed p50/p99 per frame) behind `MANDIPASS_PROFILE`,
@@ -43,8 +44,8 @@
 //! * [`monitor`](mod@monitor) + [`window`] / [`drift`] / [`flight`] / [`expose`] —
 //!   the live-monitoring layer: sliding-window counters and histograms,
 //!   score-drift detection (PSI/KS against a frozen enrolment-time
-//!   baseline) folded into a typed [`HealthStatus`], a bounded flight
-//!   recorder for failed verifications, and Prometheus-text/JSON
+//!   baseline) folded into a typed [`HealthStatus`], flight records of
+//!   failed verifications (kept in the trace ring), and Prometheus-text/JSON
 //!   exposition — offline via [`Monitor::snapshot`] or over an optional
 //!   `MANDIPASS_MONITOR_ADDR` HTTP listener.
 //!
@@ -83,7 +84,7 @@ pub use alloc::{AllocProfile, AllocStats, ProfilingAlloc, PROFILE_ALLOC_ENV};
 pub use clock::set_deterministic;
 pub use drift::{DriftConfig, DriftDetector, HealthReport, HealthSignal, HealthStatus};
 pub use expose::{render_prometheus, serve_from_env, MonitorServer, MONITOR_ADDR_ENV};
-pub use flight::{FlightOutcome, FlightRecorder, VerifyFlight};
+pub use flight::{FlightOutcome, VerifyFlight};
 pub use metrics::{global as metrics, Counter, Gauge, Histogram, Registry};
 pub use mode::{enabled, install_sink, mode, set_default_mode, set_mode, Builder, Mode};
 pub use monitor::{global as monitor, Monitor, MonitorConfig};
@@ -91,8 +92,8 @@ pub use profile::{CpuProfile, FrameStats, PROFILE_ENV};
 pub use sink::{JsonSink, Sink, TextSink};
 pub use span::{capture, span, try_capture, SpanGuard, SpanRecord, SpanTree};
 pub use trace::{
-    attribution_report, format_trace_id, mint_id, parse_trace_id, RequestTrace, SampleReason,
-    StageTiming, TraceConfig, TraceStore, TRACE_SAMPLE_ENV,
+    attribution_report, format_trace_id, mint_id, parse_trace_id, FlightRecord, RequestTrace,
+    SampleReason, StageTiming, TraceConfig, TraceStore, TRACE_SAMPLE_ENV,
 };
 pub use window::{WindowedCounter, WindowedHistogram};
 

@@ -3,9 +3,10 @@
 //!
 //! [`Monitor`] owns a [`DriftDetector`] (windowed distance distribution
 //! vs the frozen enrolment baseline), per-label windowed counters for
-//! quality rejections and enclave audit activity, and a
-//! [`FlightRecorder`] of failed verifications. Producers (the core
-//! crate's authenticator and enclave) call the `observe_*` methods;
+//! quality rejections and enclave audit activity, and the one
+//! [`TraceStore`] ring of request traces and failed-verification
+//! flights. Producers (core's authenticator and enclave) call the
+//! `observe_*` and `record_*` methods;
 //! consumers read [`Monitor::health`] and [`Monitor::snapshot`] — the
 //! latter is the offline equivalent of the HTTP endpoints in
 //! [`crate::expose`], so tests and CI never need a socket.
@@ -20,29 +21,19 @@ use mandipass_util::json::Value;
 
 use crate::clock;
 use crate::drift::{DriftConfig, DriftDetector, HealthReport};
-use crate::flight::{FlightRecorder, VerifyFlight};
-use crate::trace::{RequestTrace, TraceConfig, TraceStore};
+use crate::flight::{FlightOutcome, VerifyFlight};
+use crate::span::SpanTree;
+use crate::trace::{FlightRecord, RequestTrace, TraceConfig, TraceStore};
 use crate::window::WindowedCounter;
 
-/// Monitor-wide configuration: drift thresholds plus ring sizes.
-#[derive(Debug, Clone, PartialEq)]
+/// Monitor-wide configuration: drift thresholds plus the record ring.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MonitorConfig {
     /// Drift-detector thresholds and window geometry.
     pub drift: DriftConfig,
-    /// Flight-recorder ring capacity.
-    pub flight_capacity: usize,
-    /// Request-trace ring geometry and sampling rules.
+    /// Record-ring geometry (shared by traces and flights) and the
+    /// request-trace sampling rules.
     pub trace: TraceConfig,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        MonitorConfig {
-            drift: DriftConfig::default(),
-            flight_capacity: 64,
-            trace: TraceConfig::default(),
-        }
-    }
 }
 
 #[derive(Debug)]
@@ -53,8 +44,8 @@ struct MonitorInner {
     quality_rejects: BTreeMap<String, WindowedCounter>,
     /// Windowed enclave audit activity keyed by [`AuditKind`] label.
     audit: BTreeMap<String, WindowedCounter>,
-    flights: FlightRecorder,
-    traces: TraceStore,
+    /// Request traces and flights, in one ring.
+    records: TraceStore,
     /// The serving layer's circuit-breaker state document, when a
     /// breaker reports here (`Value::Null` otherwise). Injected into the
     /// health object so `GET /health` shows it.
@@ -78,16 +69,14 @@ impl Monitor {
     /// A monitor with the given configuration.
     pub fn new(config: MonitorConfig) -> Self {
         let detector = DriftDetector::new(config.drift.clone());
-        let flights = FlightRecorder::new(config.flight_capacity);
-        let traces = TraceStore::new(config.trace.clone());
+        let records = TraceStore::new(config.trace.clone());
         Monitor {
             inner: Mutex::new(MonitorInner {
                 config,
                 detector,
                 quality_rejects: BTreeMap::new(),
                 audit: BTreeMap::new(),
-                flights,
-                traces,
+                records,
                 breaker: Value::Null,
             }),
         }
@@ -141,14 +130,20 @@ impl Monitor {
             .inc_at(now);
     }
 
-    /// Records one failed/degraded verification flight. A flight
-    /// without an explicit trace id inherits the thread's active one
-    /// (see [`crate::trace::scope`]), tying server-side failure detail
-    /// to the id the client saw.
-    pub fn record_flight(&self, mut flight: VerifyFlight) {
+    /// Records one failed/degraded verification flight, with the
+    /// failed attempt's span tree when one was captured. The flight
+    /// takes the thread's active trace id (see [`crate::trace::scope`]),
+    /// tying server-side failure detail to the id the client saw.
+    pub fn record_flight(&self, flight: VerifyFlight, spans: Option<SpanTree>) {
         let now = clock::now();
-        flight.trace_id = flight.trace_id.or_else(crate::trace::current);
-        self.lock().flights.record_at(now, flight);
+        let record = FlightRecord {
+            seq: 0,
+            timestamp: 0,
+            trace_id: crate::trace::current(),
+            flight,
+            spans,
+        };
+        self.lock().records.record_flight_at(now, record);
     }
 
     /// Publishes the serving layer's circuit-breaker state document so
@@ -158,18 +153,18 @@ impl Monitor {
         self.lock().breaker = state;
     }
 
-    /// Records one circuit-breaker transition: a [`FlightOutcome::Breaker`](crate::flight::FlightOutcome::Breaker)
+    /// Records one circuit-breaker transition: a [`FlightOutcome::Breaker`]
     /// flight (detail carries `from`/`to`/`reason`) plus the published
-    /// state document. Transitions survive in the flight ring like any
+    /// state document. Transitions survive in the record ring like any
     /// other incident-relevant event.
     pub fn observe_breaker_transition(&self, from: &str, to: &str, reason: &str, state: Value) {
-        let mut flight = VerifyFlight::new(0, crate::flight::FlightOutcome::Breaker);
+        let mut flight = VerifyFlight::new(0, FlightOutcome::Breaker);
         flight.detail = Value::Object(vec![
             ("from".to_string(), Value::String(from.to_string())),
             ("to".to_string(), Value::String(to.to_string())),
             ("reason".to_string(), Value::String(reason.to_string())),
         ]);
-        self.record_flight(flight);
+        self.record_flight(flight, None);
         self.set_breaker_state(state);
     }
 
@@ -177,17 +172,17 @@ impl Monitor {
     /// it was retained.
     pub fn record_trace(&self, trace: RequestTrace) -> bool {
         let now = clock::now();
-        self.lock().traces.offer_at(now, trace)
+        self.lock().records.offer_at(now, trace)
     }
 
-    /// The retained sampled traces, oldest first.
+    /// The retained sampled request traces, oldest first.
     pub fn traces(&self) -> Vec<RequestTrace> {
-        self.lock().traces.traces()
+        self.lock().records.traces().cloned().collect()
     }
 
-    /// The most recent retained trace with this id.
+    /// The most recent retained request trace with this id.
     pub fn find_trace(&self, trace_id: u64) -> Option<RequestTrace> {
-        self.lock().traces.find(trace_id)
+        self.lock().records.find(trace_id)
     }
 
     /// The detector's verdict for the window ending now.
@@ -197,8 +192,8 @@ impl Monitor {
     }
 
     /// The retained flight records, oldest first.
-    pub fn flights(&self) -> Vec<VerifyFlight> {
-        self.lock().flights.flights()
+    pub fn flights(&self) -> Vec<FlightRecord> {
+        self.lock().records.flights().cloned().collect()
     }
 
     /// PSI between the frozen baseline and the live windowed distances.
@@ -215,12 +210,13 @@ impl Monitor {
     }
 
     /// The offline exposition document — one schema shared by tests,
-    /// the bench bins, and the `/health` + `/flight` endpoints:
+    /// the bench bins, and the `/health`, `/flight` and `/traces`
+    /// endpoints (`flights` and `traces` filter the one record ring):
     ///
     /// ```json
     /// {"health": {...}, "window": {"distance": {...},
-    ///  "quality_rejects": {...}, "audit": {...}},
-    ///  "flights": [...], "metrics": {...}}
+    ///  "quality_rejects": {...}, "audit": {...}}, "flights": [...],
+    ///  "traces": {"total_offered": ..., "traces": [...], ...}, "metrics": {...}}
     /// ```
     pub fn snapshot(&self) -> Value {
         let now = clock::now();
@@ -270,8 +266,11 @@ impl Monitor {
                     ("audit".to_string(), counters(&inner.audit)),
                 ]),
             ),
-            ("flights".to_string(), inner.flights.to_json()),
-            ("traces".to_string(), inner.traces.to_json()),
+            (
+                "flights".to_string(),
+                Value::Array(inner.records.flights().map(FlightRecord::to_json).collect()),
+            ),
+            ("traces".to_string(), inner.records.to_json()),
             (
                 "metrics".to_string(),
                 crate::metrics::global().snapshot_json(),
@@ -279,7 +278,7 @@ impl Monitor {
         ])
     }
 
-    /// Clears every sliding window and the flight ring; the frozen drift
+    /// Clears every sliding window and the record ring; the frozen drift
     /// baseline and the configuration survive. Lets one process run
     /// separate monitored phases (and keeps the integration tests
     /// independent under the never-expiring logical clock).
@@ -288,8 +287,7 @@ impl Monitor {
         inner.detector.clear_windows();
         inner.quality_rejects.clear();
         inner.audit.clear();
-        inner.flights.clear();
-        inner.traces.clear();
+        inner.records.clear();
     }
 }
 
@@ -303,7 +301,6 @@ pub fn global() -> &'static Monitor {
 mod tests {
     use super::*;
     use crate::drift::HealthStatus;
-    use crate::flight::{FlightOutcome, VerifyFlight};
     use crate::test_sync::global_state_lock;
 
     #[test]
@@ -334,7 +331,7 @@ mod tests {
         m.observe_audit("load");
         let mut flight = VerifyFlight::new(3, FlightOutcome::Rejected);
         flight.distance = Some(1.3);
-        m.record_flight(flight);
+        m.record_flight(flight, None);
         let snap = m.snapshot();
         crate::set_deterministic(false);
         for key in ["health", "window", "flights", "traces", "metrics"] {
@@ -403,9 +400,12 @@ mod tests {
         // A flight recorded inside an open trace scope inherits the id.
         {
             let _scope = crate::trace::scope(0xbeef);
-            m.record_flight(VerifyFlight::new(1, FlightOutcome::Rejected));
+            m.record_flight(VerifyFlight::new(1, FlightOutcome::Rejected), None);
         }
         assert_eq!(m.flights()[0].trace_id, Some(0xbeef));
+        // The flight shares the request's ring but not its views.
+        assert_eq!(m.traces().len(), 1);
+        assert_eq!(m.find_trace(0xbeef).map(|t| t.seq), Some(found.seq));
         let snap = m.snapshot();
         crate::set_deterministic(false);
         let retained = snap
@@ -416,6 +416,7 @@ mod tests {
         assert_eq!(retained.len(), 1);
         m.reset_windows();
         assert!(m.traces().is_empty());
+        assert!(m.flights().is_empty());
     }
 
     #[test]
@@ -443,9 +444,9 @@ mod tests {
         assert_eq!(breaker.get("state").and_then(Value::as_str), Some("open"));
         let flights = m.flights();
         assert_eq!(flights.len(), 1);
-        assert_eq!(flights[0].outcome, FlightOutcome::Breaker);
+        assert_eq!(flights[0].flight.outcome, FlightOutcome::Breaker);
         assert_eq!(
-            flights[0].detail.get("to").and_then(Value::as_str),
+            flights[0].flight.detail.get("to").and_then(Value::as_str),
             Some("open")
         );
     }

@@ -1,21 +1,26 @@
 //! End-to-end request tracing: per-request stage timings tied together
-//! by a wire-visible trace id.
+//! by a wire-visible trace id, in the one store of per-request records.
 //!
 //! The serve layer mints (or accepts) a `u64` trace id per request,
 //! wraps the handling in a span capture, and offers the resulting
 //! [`RequestTrace`] — endpoint, decision, stage breakdown, optional
-//! pipeline [`SpanTree`] — to a bounded [`TraceStore`]. The store is a
-//! ring like [`crate::flight::FlightRecorder`], but *sampled*: error,
-//! degraded, and slow requests are always retained; the rest pass a
-//! probabilistic filter that hashes the trace id against a fixed seed,
-//! so the sampled *set* is a pure function of the ids — bit-identical
-//! across runs regardless of worker scheduling, which is what the
-//! two-run determinism test in `exp_trace` asserts.
+//! pipeline [`SpanTree`] — to a bounded [`TraceStore`]. The store is
+//! *sampled*: error, degraded, and slow requests are always retained;
+//! the rest pass a probabilistic filter that hashes the trace id against
+//! a fixed seed, so the sampled *set* is a pure function of the ids —
+//! bit-identical across runs regardless of worker scheduling, which is
+//! what the two-run determinism test in `exp_trace` asserts.
+//!
+//! The same ring holds [`FlightRecord`]s, stamped from the one sequence
+//! counter and clock. A flight skips the sampler and the offered/sampled
+//! totals (reason [`SampleReason::Flight`]) but is evicted oldest-first
+//! like any trace; [`TraceStore::traces`] and [`TraceStore::flights`]
+//! filter the ring.
 //!
 //! On the wire a trace id travels as a fixed-width lower-case hex
 //! string ([`format_trace_id`]); JSON numbers are f64 and would corrupt
 //! ids above 2^53. [`scope`] parks the active id in a thread-local so
-//! deep layers (the flight recorder in the core policy path) can tag
+//! deep layers (flight recording in the core policy path) can tag
 //! their records without threading the id through every signature.
 
 use std::cell::Cell;
@@ -26,6 +31,7 @@ use mandipass_util::json::Value;
 use mandipass_util::rand::rngs::StdRng;
 use mandipass_util::rand::{Rng, SeedableRng};
 
+use crate::flight::VerifyFlight;
 use crate::span::SpanTree;
 
 /// Environment variable overriding the probabilistic sample rate
@@ -68,6 +74,8 @@ pub enum SampleReason {
     Slow,
     /// Survived the probabilistic filter.
     Probabilistic,
+    /// A flight record: never offered to the sampler.
+    Flight,
 }
 
 impl SampleReason {
@@ -78,6 +86,7 @@ impl SampleReason {
             SampleReason::Degraded => "degraded",
             SampleReason::Slow => "slow",
             SampleReason::Probabilistic => "probabilistic",
+            SampleReason::Flight => "flight",
         }
     }
 }
@@ -149,42 +158,82 @@ impl RequestTrace {
 
     /// Serialises the trace; the id renders in wire hex form.
     pub fn to_json(&self) -> Value {
-        Value::Object(vec![
-            ("seq".to_string(), Value::Number(self.seq as f64)),
-            (
-                "timestamp".to_string(),
-                Value::Number(self.timestamp as f64),
-            ),
-            (
-                "trace_id".to_string(),
-                Value::String(format_trace_id(self.trace_id)),
-            ),
+        let members = vec![
             ("endpoint".to_string(), Value::String(self.endpoint.clone())),
             ("decision".to_string(), Value::String(self.decision.clone())),
-            (
-                "total_nanos".to_string(),
-                Value::Number(self.total_nanos as f64),
-            ),
+            ("total_nanos".to_string(), number(self.total_nanos)),
             (
                 "stages".to_string(),
                 Value::Object(
                     self.stages
                         .iter()
-                        .map(|s| (s.name.to_string(), Value::Number(s.nanos as f64)))
+                        .map(|s| (s.name.to_string(), number(s.nanos)))
                         .collect(),
                 ),
             ),
-            (
-                "spans".to_string(),
-                self.spans.as_ref().map_or(Value::Null, SpanTree::to_json),
-            ),
-            (
-                "reason".to_string(),
-                self.reason
-                    .map_or(Value::Null, |r| Value::String(r.label().to_string())),
-            ),
-        ])
+        ];
+        let stamps = (self.seq, self.timestamp, Some(self.trace_id));
+        record_json(stamps, members, &self.spans, self.reason)
     }
+}
+
+fn number(n: u64) -> Value {
+    Value::Number(n as f64)
+}
+
+/// The one JSON layout of a ring record: the store's stamps (`seq`,
+/// `timestamp`, `trace_id`), the record's own `members`, then its span
+/// tree and retention reason.
+fn record_json(
+    (seq, timestamp, trace_id): (u64, u64, Option<u64>),
+    members: Vec<(String, Value)>,
+    spans: &Option<SpanTree>,
+    reason: Option<SampleReason>,
+) -> Value {
+    let trace_id = trace_id.map_or(Value::Null, |id| Value::String(format_trace_id(id)));
+    let mut record = vec![
+        ("seq".to_string(), number(seq)),
+        ("timestamp".to_string(), number(timestamp)),
+        ("trace_id".to_string(), trace_id),
+    ];
+    record.extend(members);
+    let spans = spans.as_ref().map_or(Value::Null, SpanTree::to_json);
+    let reason = reason.map_or(Value::Null, |r| Value::String(r.label().to_string()));
+    record.extend([("spans".to_string(), spans), ("reason".to_string(), reason)]);
+    Value::Object(record)
+}
+
+/// One retained flight: a [`VerifyFlight`] stamped by the store.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FlightRecord {
+    /// Store sequence number, shared with request traces.
+    pub seq: u64,
+    /// Timestamp of the record ([`crate::clock::now`] units).
+    pub timestamp: u64,
+    /// The request trace the flight ran under; `None` outside any
+    /// [`scope`].
+    pub trace_id: Option<u64>,
+    /// The facts the producer recorded.
+    pub flight: VerifyFlight,
+    /// The span tree of the failed attempt, when one was captured.
+    pub spans: Option<SpanTree>,
+}
+
+impl FlightRecord {
+    /// Serialises the record in the request-trace layout, with the
+    /// flight's facts as its members and `"reason": "flight"`.
+    pub fn to_json(&self) -> Value {
+        let stamps = (self.seq, self.timestamp, self.trace_id);
+        let reason = Some(SampleReason::Flight);
+        record_json(stamps, self.flight.members(), &self.spans, reason)
+    }
+}
+
+/// One slot of the store's ring.
+#[derive(Debug)]
+enum Record {
+    Request(RequestTrace),
+    Flight(FlightRecord),
 }
 
 /// Sampler and ring geometry for a [`TraceStore`].
@@ -207,7 +256,10 @@ impl Default for TraceConfig {
     fn default() -> Self {
         TraceConfig {
             capacity: 256,
-            sample_rate: sample_rate_from_env().unwrap_or(1.0),
+            sample_rate: std::env::var(TRACE_SAMPLE_ENV)
+                .ok()
+                .and_then(|text| parse_sample_rate(&text))
+                .unwrap_or(1.0),
             slow_threshold_nanos: 250_000_000,
             seed: 0x6d61_6e64_6970_6173, // "mandipas"
         }
@@ -216,21 +268,16 @@ impl Default for TraceConfig {
 
 /// Parses a sample-rate string: a float clamped to [0, 1].
 pub fn parse_sample_rate(text: &str) -> Option<f64> {
-    text.trim().parse::<f64>().ok().map(|r| {
-        if r.is_finite() {
-            r.clamp(0.0, 1.0)
-        } else {
-            1.0
-        }
-    })
+    text.trim().parse::<f64>().ok().map(clamp_rate)
 }
 
-/// Reads `MANDIPASS_TRACE_SAMPLE`; `None` when unset or unparsable.
-pub fn sample_rate_from_env() -> Option<f64> {
-    std::env::var(TRACE_SAMPLE_ENV)
-        .ok()
-        .as_deref()
-        .and_then(parse_sample_rate)
+/// Clamps a sample rate to [0, 1]; a non-finite rate samples everything.
+fn clamp_rate(rate: f64) -> f64 {
+    if rate.is_finite() {
+        rate.clamp(0.0, 1.0)
+    } else {
+        1.0
+    }
 }
 
 /// Mints a fresh trace id: a process-wide counter fed through the util
@@ -251,32 +298,22 @@ fn keeps(seed: u64, trace_id: u64, sample_rate: f64) -> bool {
     StdRng::seed_from_u64(seed ^ trace_id).next_f64() < sample_rate
 }
 
-/// A bounded ring of sampled [`RequestTrace`] records, oldest evicted
-/// first.
+/// The bounded ring of per-request records — sampled
+/// [`RequestTrace`]s and [`FlightRecord`]s — oldest evicted first.
 #[derive(Debug)]
 pub struct TraceStore {
-    ring: VecDeque<RequestTrace>,
+    ring: VecDeque<Record>,
     config: TraceConfig,
     next_seq: u64,
     total_offered: u64,
     total_sampled: u64,
 }
 
-impl Default for TraceStore {
-    fn default() -> Self {
-        Self::new(TraceConfig::default())
-    }
-}
-
 impl TraceStore {
     /// A store with the given sampler configuration.
     pub fn new(mut config: TraceConfig) -> Self {
         config.capacity = config.capacity.max(1);
-        config.sample_rate = if config.sample_rate.is_finite() {
-            config.sample_rate.clamp(0.0, 1.0)
-        } else {
-            1.0
-        };
+        config.sample_rate = clamp_rate(config.sample_rate);
         TraceStore {
             ring: VecDeque::new(),
             config,
@@ -286,67 +323,75 @@ impl TraceStore {
         }
     }
 
-    /// The sampling verdict for `trace`, without recording anything.
-    pub fn classify(&self, trace: &RequestTrace) -> Option<SampleReason> {
-        if trace.is_error() {
-            Some(SampleReason::Error)
-        } else if trace.is_degraded() {
-            Some(SampleReason::Degraded)
-        } else if trace.total_nanos >= self.config.slow_threshold_nanos {
-            Some(SampleReason::Slow)
-        } else if keeps(self.config.seed, trace.trace_id, self.config.sample_rate) {
-            Some(SampleReason::Probabilistic)
-        } else {
-            None
+    /// The next sequence number, shared by traces and flights.
+    fn next_seq(&mut self) -> u64 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        seq
+    }
+
+    /// Appends `record`, evicting the oldest record of either kind when
+    /// the ring is full.
+    fn push(&mut self, record: Record) {
+        if self.ring.len() == self.config.capacity {
+            self.ring.pop_front();
         }
+        self.ring.push_back(record);
     }
 
     /// Offers one trace at time `now`; returns whether the sampler kept
     /// it (assigning `seq`, `timestamp`, and `reason` when it did).
     pub fn offer_at(&mut self, now: u64, mut trace: RequestTrace) -> bool {
         self.total_offered += 1;
-        let Some(reason) = self.classify(&trace) else {
+        let reason = if trace.is_error() {
+            SampleReason::Error
+        } else if trace.is_degraded() {
+            SampleReason::Degraded
+        } else if trace.total_nanos >= self.config.slow_threshold_nanos {
+            SampleReason::Slow
+        } else if keeps(self.config.seed, trace.trace_id, self.config.sample_rate) {
+            SampleReason::Probabilistic
+        } else {
             return false;
         };
         trace.reason = Some(reason);
-        trace.seq = self.next_seq;
+        trace.seq = self.next_seq();
         trace.timestamp = now;
-        self.next_seq += 1;
-        if self.ring.len() == self.config.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(trace);
+        self.push(Record::Request(trace));
         self.total_sampled += 1;
         true
     }
 
-    /// The retained traces, oldest first.
-    pub fn traces(&self) -> Vec<RequestTrace> {
-        self.ring.iter().cloned().collect()
+    /// Records one flight at time `now`, assigning `seq` and
+    /// `timestamp`. Flights skip the sampler and its totals.
+    pub fn record_flight_at(&mut self, now: u64, mut flight: FlightRecord) {
+        flight.seq = self.next_seq();
+        flight.timestamp = now;
+        self.push(Record::Flight(flight));
     }
 
-    /// The most recent retained trace with this id.
+    /// The retained request traces, oldest first.
+    pub fn traces(&self) -> impl DoubleEndedIterator<Item = &RequestTrace> {
+        self.ring.iter().filter_map(|record| match record {
+            Record::Request(trace) => Some(trace),
+            Record::Flight(_) => None,
+        })
+    }
+
+    /// The retained flights, oldest first.
+    pub fn flights(&self) -> impl Iterator<Item = &FlightRecord> {
+        self.ring.iter().filter_map(|record| match record {
+            Record::Flight(flight) => Some(flight),
+            Record::Request(_) => None,
+        })
+    }
+
+    /// The most recent retained request trace with this id.
     pub fn find(&self, trace_id: u64) -> Option<RequestTrace> {
-        self.ring
-            .iter()
+        self.traces()
             .rev()
             .find(|t| t.trace_id == trace_id)
             .cloned()
-    }
-
-    /// Number of retained traces.
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Maximum number of retained traces.
-    pub fn capacity(&self) -> usize {
-        self.config.capacity
     }
 
     /// Traces ever offered, sampled or not.
@@ -359,8 +404,8 @@ impl TraceStore {
         self.total_sampled
     }
 
-    /// Serialises the store: offered/sampled totals plus the retained
-    /// traces, oldest first — the `GET /traces` document.
+    /// Serialises the request traces: offered/sampled totals plus the
+    /// retained traces, oldest first — the `GET /traces` document.
     pub fn to_json(&self) -> Value {
         Value::Object(vec![
             (
@@ -377,12 +422,12 @@ impl TraceStore {
             ),
             (
                 "traces".to_string(),
-                Value::Array(self.ring.iter().map(RequestTrace::to_json).collect()),
+                Value::Array(self.traces().map(RequestTrace::to_json).collect()),
             ),
         ])
     }
 
-    /// Forgets the retained traces; sequence and totals survive.
+    /// Forgets every retained record; sequence and totals survive.
     pub fn clear(&mut self) {
         self.ring.clear();
     }
@@ -498,6 +543,7 @@ pub fn attribution_report(traces: &[RequestTrace], top_k: usize) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::flight::FlightOutcome;
 
     fn ok_trace(id: u64, total: u64) -> RequestTrace {
         let mut t = RequestTrace::new(id, "verify", "accepted");
@@ -505,6 +551,20 @@ mod tests {
         t.stage("decode", total / 4);
         t.stage("verify", total / 2);
         t
+    }
+
+    fn flight(
+        trace_id: Option<u64>,
+        flight: VerifyFlight,
+        spans: Option<SpanTree>,
+    ) -> FlightRecord {
+        FlightRecord {
+            seq: 0,
+            timestamp: 0,
+            trace_id,
+            flight,
+            spans,
+        }
     }
 
     fn config(rate: f64) -> TraceConfig {
@@ -539,11 +599,7 @@ mod tests {
         assert!(store.offer_at(3, slow));
         // A fast, successful trace is dropped at rate 0.
         assert!(!store.offer_at(4, ok_trace(4, 10)));
-        let reasons: Vec<&str> = store
-            .traces()
-            .iter()
-            .map(|t| t.reason.unwrap().label())
-            .collect();
+        let reasons: Vec<&str> = store.traces().map(|t| t.reason.unwrap().label()).collect();
         assert_eq!(reasons, ["error", "degraded", "slow"]);
         assert_eq!(store.total_offered(), 4);
         assert_eq!(store.total_sampled(), 3);
@@ -557,8 +613,8 @@ mod tests {
             keep_all.offer_at(id, ok_trace(id, 100));
             keep_none.offer_at(id, ok_trace(id, 100));
         }
-        assert_eq!(keep_all.len(), 50);
-        assert_eq!(keep_none.len(), 0);
+        assert_eq!(keep_all.traces().count(), 50);
+        assert_eq!(keep_none.traces().count(), 0);
     }
 
     #[test]
@@ -581,8 +637,8 @@ mod tests {
         for &id in ids.iter().rev() {
             backward.offer_at(0, ok_trace(id, 100));
         }
-        let mut fwd: Vec<u64> = forward.traces().iter().map(|t| t.trace_id).collect();
-        let mut bwd: Vec<u64> = backward.traces().iter().map(|t| t.trace_id).collect();
+        let mut fwd: Vec<u64> = forward.traces().map(|t| t.trace_id).collect();
+        let mut bwd: Vec<u64> = backward.traces().map(|t| t.trace_id).collect();
         fwd.sort_unstable();
         bwd.sort_unstable();
         assert_eq!(fwd, bwd);
@@ -617,7 +673,7 @@ mod tests {
             t.decision = format!("gen{}", store.total_offered());
             store.offer_at(id, t);
         }
-        assert_eq!(store.len(), 2);
+        assert_eq!(store.traces().count(), 2);
         assert!(store.find(7).is_none(), "oldest must be evicted");
         let found = store.find(8).unwrap();
         assert_eq!(found.seq, 3, "find must return the latest offer");
@@ -632,8 +688,93 @@ mod tests {
         });
         store.offer_at(1, ok_trace(1, 10));
         store.offer_at(2, ok_trace(2, 10));
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.traces()[0].trace_id, 2);
+        assert_eq!(store.traces().count(), 1);
+        assert_eq!(store.traces().next().unwrap().trace_id, 2);
+    }
+
+    #[test]
+    fn a_flight_skips_the_sampler_and_its_totals() {
+        let mut store = TraceStore::new(config(0.0));
+        let rejected = VerifyFlight::new(7, FlightOutcome::Rejected);
+        store.record_flight_at(5, flight(None, rejected, None));
+        assert!(!store.offer_at(6, ok_trace(1, 10)));
+        let flights: Vec<&FlightRecord> = store.flights().collect();
+        assert_eq!(flights.len(), 1);
+        assert_eq!((flights[0].seq, flights[0].timestamp), (0, 5));
+        assert_eq!(store.traces().count(), 0);
+        assert_eq!(store.total_offered(), 1, "only the request was offered");
+        assert_eq!(store.total_sampled(), 0);
+        assert!(store.find(0).is_none(), "find sees request traces only");
+    }
+
+    #[test]
+    fn flights_and_traces_share_one_ring_and_one_sequence() {
+        let mut store = TraceStore::new(TraceConfig {
+            capacity: 2,
+            ..config(1.0)
+        });
+        let degraded = VerifyFlight::new(1, FlightOutcome::Degraded);
+        store.record_flight_at(1, flight(Some(9), degraded, None));
+        store.offer_at(2, ok_trace(9, 10));
+        assert_eq!(store.flights().count(), 1);
+        store.offer_at(3, ok_trace(10, 10));
+        assert_eq!(
+            store.flights().count(),
+            0,
+            "the oldest record, a flight, is evicted"
+        );
+        let seqs: Vec<u64> = store.traces().map(|t| t.seq).collect();
+        assert_eq!(seqs, vec![1, 2]);
+        store.clear();
+        assert_eq!(store.traces().count() + store.flights().count(), 0);
+        let rejected = VerifyFlight::new(1, FlightOutcome::Rejected);
+        store.record_flight_at(4, flight(None, rejected, None));
+        assert_eq!(
+            store.flights().next().unwrap().seq,
+            3,
+            "clear keeps the sequence"
+        );
+    }
+
+    #[test]
+    fn flight_serialises_all_fields() {
+        let mut exhausted = VerifyFlight::new(3, FlightOutcome::Exhausted);
+        exhausted.distance = Some(0.71);
+        exhausted.threshold = Some(0.5485);
+        exhausted.attempts = 3;
+        exhausted.rejects = vec!["quality:dead_axis".to_string()];
+        exhausted.detail = Value::Object(vec![("energy_std".to_string(), Value::Number(12.0))]);
+        let spans = crate::span::try_capture(|| {
+            let _s = crate::span::span("verify");
+        })
+        .1;
+        let mut store = TraceStore::new(config(1.0));
+        store.record_flight_at(9, flight(Some(0xfeed), exhausted, spans));
+        let breaker = VerifyFlight::new(1, FlightOutcome::Breaker);
+        store.record_flight_at(10, flight(None, breaker, None));
+        let json: Vec<String> = store.flights().map(|f| f.to_json().to_json()).collect();
+        for key in [
+            "\"seq\":0",
+            "\"timestamp\":9",
+            "\"trace_id\":\"000000000000feed\"",
+            "\"user_id\":3",
+            "\"outcome\":\"exhausted\"",
+            "\"distance\":0.71",
+            "\"threshold\":0.5485",
+            "\"attempts\":3",
+            "\"rejects\":[\"quality:dead_axis\"]",
+            "\"energy_std\":12",
+            "\"name\":\"verify\"",
+            "\"reason\":\"flight\"",
+        ] {
+            assert!(json[0].contains(key), "{key} missing from {}", json[0]);
+        }
+        assert!(json[1].contains("\"trace_id\":null"), "{}", json[1]);
+        assert!(json[1].contains("\"spans\":null"), "{}", json[1]);
+        assert!(
+            !store.to_json().to_json().contains("exhausted"),
+            "the /traces document lists request traces only"
+        );
     }
 
     #[test]
