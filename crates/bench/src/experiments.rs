@@ -35,7 +35,8 @@ use crate::gate::{self, Gate};
 use crate::harness::TrainedStack;
 use crate::load::{
     cohort_users, deploy_cohort, outcome_signature, plan_indexed_request, run_load, run_open_loop,
-    trace_attribution, LoadConfig, LoadReport, LoadTarget, OpenLoopConfig, OpenOutcome,
+    trace_attribution, DecodeTiming, LoadConfig, LoadReport, LoadTarget, OpenLoopConfig,
+    OpenOutcome,
 };
 use crate::scale::{env_or, EvalScale};
 
@@ -1777,14 +1778,19 @@ pub fn exp_monitor(
     const RAMP_TRIALS: usize = 2;
     const RAMP: [f64; 3] = [0.5, 0.75, 1.0];
 
+    let monitor_config = mandipass_telemetry::MonitorConfig::default();
+    let min_decisions = monitor_config.drift.min_decisions as usize;
     let monitor: &'static mandipass_telemetry::Monitor =
-        Box::leak(Box::new(mandipass_telemetry::Monitor::default()));
+        Box::leak(Box::new(mandipass_telemetry::Monitor::new(monitor_config)));
     let users: Vec<UserProfile> = stack
         .held_out_users()
         .iter()
         .take(COHORT)
         .cloned()
         .collect();
+    // The clean phase must fill the detector's window: with fewer
+    // decisions than `min_decisions` it reads Healthy without judging.
+    let clean_probes = CLEAN_PROBES.max(min_decisions.div_ceil(users.len().max(1)));
     let recorder = stack.recorder.clone();
     let config = PipelineConfig {
         threshold,
@@ -1831,7 +1837,7 @@ pub fn exp_monitor(
     // Phase 1 — clean genuine traffic must read Healthy.
     let policy = VerifyPolicy::default();
     for (u, user) in users.iter().enumerate() {
-        for s in 0..CLEAN_PROBES as u64 {
+        for s in 0..clean_probes as u64 {
             let probe =
                 recorder.record(user, Condition::Normal, 0x3017_1000 ^ ((u as u64) << 8) ^ s);
             let _ = auth.verify_with_policy(user.id, &[probe], &matrices[u], &policy);
@@ -1865,14 +1871,15 @@ pub fn exp_monitor(
         ExperimentRecord::new(
             "Monitor",
             "clean genuine traffic",
-            "Healthy",
-            clean_health.status.label().to_string(),
-            clean_health.status == HealthStatus::Healthy,
+            format!("Healthy over >= {min_decisions} decisions"),
+            format!(
+                "{} over {}",
+                clean_health.status.label(),
+                clean_health.decisions
+            ),
+            clean_health.sufficient && clean_health.status == HealthStatus::Healthy,
         )
-        .with_note(format!(
-            "PSI {clean_psi:.3} over {} decisions",
-            clean_health.decisions
-        )),
+        .with_note(format!("PSI {clean_psi:.3}")),
     );
     table.push(
         ExperimentRecord::new(
@@ -1968,6 +1975,7 @@ pub fn exp_serve(
     mandipass_telemetry::profile::set_enabled(was_profiling);
     server.shutdown();
     let health = monitor.health();
+    let decode = DecodeTiming::measure(load_config.seed, CLIENTS * REQUESTS, 15, users, recorder);
 
     let scale_desc = format!("{CLIENTS} clients x {REQUESTS} requests, {WORKERS} workers");
     let doc = serve_document(
@@ -1976,6 +1984,7 @@ pub fn exp_serve(
         WORKERS,
         &in_process,
         &tcp,
+        &decode,
         Some(profile_section),
     );
 
@@ -2054,14 +2063,16 @@ pub fn exp_serve(
     Ok((table, doc))
 }
 
-/// `BENCH_serve.json`: both transport sections' metrics under one gate
-/// table, with the run's config and drift-monitor reports as detail.
+/// `BENCH_serve.json`: both transport sections' metrics and the
+/// same-frames decode timing under one gate table, with the run's
+/// config and drift-monitor reports as detail.
 pub(crate) fn serve_document(
     scale: &str,
     config: &LoadConfig,
     workers: usize,
     in_process: &LoadReport,
     tcp: &LoadReport,
+    decode: &DecodeTiming,
     profile: Option<Value>,
 ) -> Value {
     let mut gates = vec![Gate::absolute("workers").min(1.0)];
@@ -2091,10 +2102,15 @@ pub(crate) fn serve_document(
             gates.push(Gate::absolute(m(&format!("counts.{count}"))).min(0.0));
         }
     }
+    // `json::parse` shares the typed reader's tokenizer and its integer
+    // fast path, so what the typed reader saves is the tree and the
+    // per-element walk (about 0.5 on the smoke plan).
+    gates.push(Gate::same_run("decode.typed_us", "decode.generic_us").max(0.6));
     let metrics = Value::Object(vec![
         ("workers".to_string(), Value::Number(workers as f64)),
         ("in_process".to_string(), in_process.to_json()),
         ("tcp".to_string(), tcp.to_json()),
+        ("decode".to_string(), decode.to_json()),
     ]);
     let detail = Value::Object(vec![
         ("config".to_string(), config.serialise()),

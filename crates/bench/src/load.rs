@@ -452,6 +452,74 @@ pub fn plan_indexed_request(
     }
 }
 
+/// Per-frame cost of decoding the same planned request frames two ways:
+/// the serve protocol's typed decoder, and the generic `json::parse`
+/// tree it replaced. `BENCH_serve` gates their same-run ratio.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecodeTiming {
+    /// Distinct frames timed.
+    pub frames: usize,
+    /// Typed decode (`Request::from_frame`), µs per frame.
+    pub typed_us: f64,
+    /// UTF-8 check plus `json::parse`, µs per frame.
+    pub generic_us: f64,
+}
+
+impl DecodeTiming {
+    /// Times the first `frames` requests of plan `seed`, framed as the
+    /// client sends them (trace id included). Each of `rounds` rounds
+    /// decodes every frame one way, then the other; the fastest round of
+    /// each counts, so a scheduling hiccup cannot fake a regression and
+    /// a slow stretch of the host hits both sides alike.
+    pub fn measure(
+        seed: u64,
+        frames: usize,
+        rounds: usize,
+        users: &[UserProfile],
+        recorder: &Recorder,
+    ) -> DecodeTiming {
+        let payloads: Vec<Vec<u8>> = (0..frames)
+            .map(|i| {
+                let (request, _) = plan_indexed_request(seed, i, users, recorder);
+                mandipass_serve::with_trace_id(request.to_json(), i as u64 + 1)
+                    .to_json()
+                    .into_bytes()
+            })
+            .collect();
+        let per_frame_us = |decode: &dyn Fn(&[u8]) -> bool| {
+            let started = Instant::now();
+            for payload in &payloads {
+                assert!(
+                    decode(std::hint::black_box(payload)),
+                    "planned frame decodes"
+                );
+            }
+            started.elapsed().as_secs_f64() * 1e6 / frames.max(1) as f64
+        };
+        let (mut typed_us, mut generic_us) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..rounds.max(1) {
+            typed_us = typed_us.min(per_frame_us(&|p| Request::from_frame(p).is_ok()));
+            generic_us = generic_us.min(per_frame_us(&|p| {
+                std::str::from_utf8(p).is_ok_and(|text| mandipass_util::json::parse(text).is_ok())
+            }));
+        }
+        DecodeTiming {
+            frames,
+            typed_us,
+            generic_us,
+        }
+    }
+
+    /// The `decode` section of the `BENCH_serve.json` metrics.
+    pub fn to_json(&self) -> Value {
+        Value::Object(crate::gate::numbers(&[
+            ("frames", self.frames as f64),
+            ("typed_us", self.typed_us),
+            ("generic_us", self.generic_us),
+        ]))
+    }
+}
+
 /// A stable, bit-exact signature of one service outcome: decisions
 /// carry their accept/degraded flags, attempt count, and the distance's
 /// exact bit pattern; typed errors carry their kind. Two transports (or
@@ -873,6 +941,12 @@ mod tests {
         assert!(matches!(report.get("slowest"), Some(Value::Array(a)) if a.is_empty()));
     }
 
+    const FAKE_DECODE: DecodeTiming = DecodeTiming {
+        frames: 8,
+        typed_us: 20.0,
+        generic_us: 60.0,
+    };
+
     fn fake_doc(qps: f64, p99: f64) -> Value {
         serve_document(
             "test scale",
@@ -880,6 +954,7 @@ mod tests {
             4,
             &fake_report(qps, p99),
             &fake_report(qps * 0.8, p99 * 1.2),
+            &FAKE_DECODE,
             None,
         )
     }
@@ -921,13 +996,29 @@ mod tests {
     fn validator_rejects_disordered_quantiles_and_errors() {
         let mut report = fake_report(100.0, 0.01);
         report.latency.p999 = report.latency.p50 / 2.0;
-        let doc = serve_document("s", &LoadConfig::default(), 2, &report, &report, None);
+        let doc = serve_document(
+            "s",
+            &LoadConfig::default(),
+            2,
+            &report,
+            &report,
+            &FAKE_DECODE,
+            None,
+        );
         let err = check(&doc).unwrap_err();
         assert!(err.contains("x tcp.latency_seconds.p999"), "{err}");
 
         let mut report = fake_report(100.0, 0.01);
         report.counts.errors = 3;
-        let doc = serve_document("s", &LoadConfig::default(), 2, &report, &report, None);
+        let doc = serve_document(
+            "s",
+            &LoadConfig::default(),
+            2,
+            &report,
+            &report,
+            &FAKE_DECODE,
+            None,
+        );
         assert!(check(&doc).unwrap_err().contains("counts.errors"));
     }
 

@@ -813,6 +813,50 @@ mod tests {
     }
 
     #[test]
+    fn policy_reports_a_six_axis_saturation_once() {
+        let (mut system, pop, recorder) = trained_system();
+        let user = &pop.users()[0];
+        let matrix = GaussianMatrix::generate(15, system.embedding_dim());
+        let enrolment: Vec<_> = (0..4)
+            .map(|s| recorder.record(user, Condition::Normal, 8220 + s))
+            .collect();
+        system.enroll(user.id, &enrolment, &matrix).unwrap();
+
+        let good = recorder.record(user, Condition::Normal, 8320);
+        let mut axes = good.axes().to_vec();
+        for track in &mut axes {
+            // Pin a third of every track to its rails.
+            let (lo, hi) = track
+                .iter()
+                .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            for (i, v) in track.iter_mut().enumerate() {
+                match i % 6 {
+                    0 => *v = lo,
+                    1 => *v = hi,
+                    _ => {}
+                }
+            }
+        }
+        let clipped =
+            Recording::from_parts(good.sample_rate_hz(), axes, good.condition(), 0).unwrap();
+        let saturated = mandipass_telemetry::metrics().counter("quality.reject.saturated");
+        let before = saturated.get();
+        let decision = system
+            .verify_with_policy(user.id, &[clipped, good], &matrix, &VerifyPolicy::default())
+            .unwrap();
+        assert_eq!(decision.rejects, vec!["quality:saturated".to_string()]);
+        assert_eq!(saturated.get() - before, 1);
+        let audits: Vec<_> = system
+            .enclave()
+            .audit_events_for(user.id)
+            .into_iter()
+            .filter(|e| e.kind == crate::enclave::AuditKind::QualityReject)
+            .collect();
+        assert_eq!(audits.len(), 1);
+        assert_eq!(audits[0].reason, Some("saturated"));
+    }
+
+    #[test]
     fn policy_assesses_each_probe_once() {
         let (mut system, pop, recorder) = trained_system();
         let user = &pop.users()[0];

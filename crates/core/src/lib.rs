@@ -79,7 +79,7 @@ pub mod prelude {
     pub use crate::enclave::{AccessCounts, AuditEvent, AuditKind, SecureEnclave};
     pub use crate::extractor::{BiometricExtractor, ExtractorConfig};
     pub use crate::gradient_array::GradientArray;
-    pub use crate::quality::{QualityConfig, QualityReport, RejectReason};
+    pub use crate::quality::{AxisSet, QualityConfig, QualityReport, RejectReason};
     pub use crate::template::{CancelableTemplate, GaussianMatrix, MandiblePrint};
     pub use crate::train::{TrainingConfig, VspTrainer};
     pub use crate::MandiPassError;

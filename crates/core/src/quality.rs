@@ -49,7 +49,37 @@ impl Default for QualityConfig {
     }
 }
 
-/// A machine-readable reason a probe failed the quality gate.
+/// A set of axes in paper order (`0..6`), as a bit mask.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AxisSet(u8);
+
+impl AxisSet {
+    /// The set holding exactly `axes`.
+    ///
+    /// # Panics
+    ///
+    /// On an axis index of 8 or more.
+    pub fn of(axes: impl IntoIterator<Item = usize>) -> Self {
+        AxisSet(axes.into_iter().fold(0, |mask, axis| {
+            assert!(axis < 8, "axis {axis} out of range");
+            mask | 1 << axis
+        }))
+    }
+
+    /// Whether no axis is in the set.
+    pub fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    /// The axes in ascending order.
+    pub fn iter(self) -> impl Iterator<Item = usize> {
+        (0..8).filter(move |axis| self.0 & 1 << axis != 0)
+    }
+}
+
+/// A machine-readable reason a probe failed the quality gate. A report
+/// holds at most one reason of each kind, so the labels a rejection
+/// produces stay a bounded set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum RejectReason {
@@ -57,15 +87,16 @@ pub enum RejectReason {
     NonFinite,
     /// Fewer samples than the pipeline needs.
     TooShort,
-    /// An axis shows no variation — dead or stuck.
+    /// Axes that show no variation — dead or stuck.
     DeadAxis {
-        /// The offending axis (paper order, `0..6`).
-        axis: usize,
+        /// The offending axes.
+        axes: AxisSet,
     },
-    /// An axis spends too much time pinned at its extremes (clipping).
+    /// Axes that spend too much time pinned at their extremes
+    /// (clipping).
     Saturated {
-        /// The offending axis (paper order, `0..6`).
-        axis: usize,
+        /// The offending axes.
+        axes: AxisSet,
     },
     /// No window of `az` reaches vibration energy — nothing to detect.
     LowEnergy,
@@ -80,6 +111,14 @@ impl RejectReason {
             RejectReason::DeadAxis { .. } => "dead_axis",
             RejectReason::Saturated { .. } => "saturated",
             RejectReason::LowEnergy => "low_energy",
+        }
+    }
+
+    /// The axes a dead or saturated reason names; empty for the others.
+    pub fn axes(&self) -> AxisSet {
+        match self {
+            RejectReason::DeadAxis { axes } | RejectReason::Saturated { axes } => *axes,
+            _ => AxisSet::default(),
         }
     }
 }
@@ -113,21 +152,15 @@ impl QualityReport {
     /// fit for a degraded accel-only verification.
     pub fn degraded_viable(&self) -> bool {
         !self.reasons.is_empty()
-            && self.reasons.iter().all(|r| match r {
-                RejectReason::DeadAxis { axis } | RejectReason::Saturated { axis } => *axis >= 3,
-                _ => false,
+            && self.reasons.iter().all(|r| {
+                let axes = r.axes();
+                !axes.is_empty() && axes.iter().all(|axis| axis >= 3)
             })
     }
 
-    /// The axes flagged dead or saturated.
+    /// The axes flagged dead or saturated, dead ones first.
     pub fn faulty_axes(&self) -> Vec<usize> {
-        self.reasons
-            .iter()
-            .filter_map(|r| match r {
-                RejectReason::DeadAxis { axis } | RejectReason::Saturated { axis } => Some(*axis),
-                _ => None,
-            })
-            .collect()
+        self.reasons.iter().flat_map(|r| r.axes().iter()).collect()
     }
 
     /// Serialises the report — the `detail` payload of a rejected
@@ -142,6 +175,15 @@ impl QualityReport {
             }
         };
         let nums = |xs: &[f64]| Value::Array(xs.iter().map(|&v| num(v)).collect());
+        let axes_of = |kind: &str| {
+            let axes = self.reasons.iter().find(|r| r.label() == kind);
+            Value::Array(
+                axes.map_or(AxisSet::default(), RejectReason::axes)
+                    .iter()
+                    .map(|a| Value::Number(a as f64))
+                    .collect(),
+            )
+        };
         Value::Object(vec![
             ("ok".to_string(), Value::Bool(self.ok())),
             ("samples".to_string(), Value::Number(self.samples as f64)),
@@ -161,6 +203,8 @@ impl QualityReport {
                         .collect(),
                 ),
             ),
+            ("dead_axes".to_string(), axes_of("dead_axis")),
+            ("saturated_axes".to_string(), axes_of("saturated")),
         ])
     }
 }
@@ -219,15 +263,14 @@ pub fn assess(recording: &Recording, config: &QualityConfig) -> QualityReport {
     if samples < config.min_samples || axes.len() != 6 {
         reasons.push(RejectReason::TooShort);
     }
-    for (axis, &std) in axis_std.iter().enumerate() {
-        if std < config.dead_axis_min_std {
-            reasons.push(RejectReason::DeadAxis { axis });
-        }
+    let dead = AxisSet::of((0..axis_std.len()).filter(|&a| axis_std[a] < config.dead_axis_min_std));
+    if !dead.is_empty() {
+        reasons.push(RejectReason::DeadAxis { axes: dead });
     }
-    for (axis, &ratio) in rails.iter().enumerate() {
-        if ratio > config.max_saturation_ratio {
-            reasons.push(RejectReason::Saturated { axis });
-        }
+    let saturated =
+        AxisSet::of((0..rails.len()).filter(|&a| rails[a] > config.max_saturation_ratio));
+    if !saturated.is_empty() {
+        reasons.push(RejectReason::Saturated { axes: saturated });
     }
     // Only meaningful when az itself is alive and finite; otherwise the
     // reasons above already explain the failure.
@@ -278,7 +321,12 @@ mod tests {
         let rec = FaultProfile::stuck_gyro(0.0).apply(&clean_recording(), 3);
         let report = assess(&rec, &QualityConfig::default());
         assert!(!report.ok());
-        assert_eq!(report.reasons, vec![RejectReason::DeadAxis { axis: 3 }]);
+        assert_eq!(
+            report.reasons,
+            vec![RejectReason::DeadAxis {
+                axes: AxisSet::of([3])
+            }]
+        );
         assert!(report.degraded_viable());
         assert_eq!(report.faulty_axes(), vec![3]);
     }
@@ -294,7 +342,9 @@ mod tests {
         )
         .apply(&clean_recording(), 3);
         let report = assess(&rec, &QualityConfig::default());
-        assert!(report.reasons.contains(&RejectReason::DeadAxis { axis: 0 }));
+        assert!(report.reasons.contains(&RejectReason::DeadAxis {
+            axes: AxisSet::of([0])
+        }));
         assert!(!report.degraded_viable());
     }
 
@@ -307,6 +357,46 @@ mod tests {
             .reasons
             .iter()
             .any(|r| matches!(r, RejectReason::Saturated { .. })));
+    }
+
+    #[test]
+    fn one_reason_per_kind_names_every_faulty_axis() {
+        let mut axes = clean_recording().axes().to_vec();
+        for track in &mut axes {
+            // Pin a third of every track to its extremes.
+            let (lo, hi) = track
+                .iter()
+                .fold((f64::MAX, f64::MIN), |(lo, hi), &v| (lo.min(v), hi.max(v)));
+            for (i, v) in track.iter_mut().enumerate() {
+                match i % 6 {
+                    0 => *v = lo,
+                    1 => *v = hi,
+                    _ => {}
+                }
+            }
+        }
+        axes[4] = vec![axes[4][0]; axes[4].len()];
+        let rec = Recording::from_parts(350.0, axes, Condition::Normal, 0).unwrap();
+        let report = assess(&rec, &QualityConfig::default());
+        assert_eq!(
+            report.reasons,
+            vec![
+                RejectReason::DeadAxis {
+                    axes: AxisSet::of([4])
+                },
+                RejectReason::Saturated {
+                    axes: AxisSet::of([0, 1, 2, 3, 5])
+                },
+            ]
+        );
+        assert_eq!(report.faulty_axes(), vec![4, 0, 1, 2, 3, 5]);
+        assert!(!report.degraded_viable());
+        let doc = report.to_json().to_json();
+        assert!(
+            doc.contains("\"reasons\":[\"dead_axis\",\"saturated\"]"),
+            "{doc}"
+        );
+        assert!(doc.contains("\"saturated_axes\":[0,1,2,3,5]"), "{doc}");
     }
 
     #[test]
@@ -342,8 +432,10 @@ mod tests {
     fn labels_are_stable() {
         assert_eq!(RejectReason::NonFinite.label(), "non_finite");
         assert_eq!(RejectReason::TooShort.label(), "too_short");
-        assert_eq!(RejectReason::DeadAxis { axis: 1 }.label(), "dead_axis");
-        assert_eq!(RejectReason::Saturated { axis: 1 }.label(), "saturated");
+        let axes = AxisSet::of([1, 4]);
+        assert_eq!(RejectReason::DeadAxis { axes }.label(), "dead_axis");
+        assert_eq!(RejectReason::Saturated { axes }.label(), "saturated");
+        assert_eq!(axes.iter().collect::<Vec<_>>(), vec![1, 4]);
         assert_eq!(RejectReason::LowEnergy.label(), "low_energy");
     }
 }

@@ -32,7 +32,7 @@ pub fn detect_outliers(segment: &[f64], threshold: f64) -> Vec<usize> {
         return Vec::new();
     }
     let med = stats::median(segment);
-    let mad = stats::mad(segment) * MAD_GAUSSIAN_SCALE;
+    let mad = stats::mad_around(segment, med) * MAD_GAUSSIAN_SCALE;
     segment
         .iter()
         .enumerate()

@@ -52,22 +52,52 @@ pub fn upper_quartile(xs: &[f64]) -> f64 {
 /// Linearly interpolated quantile `q ∈ [0, 1]` of `xs`.
 ///
 /// Returns `0.0` for an empty slice. `q` is clamped into `[0, 1]`.
+///
+/// The value is the one a stable sort of `xs` would give at the
+/// interpolated rank, bit for bit, but found by selection: the low rank
+/// by `select_nth_unstable_by`, the high rank as the minimum of the
+/// partition right of it.
 pub fn quantile(xs: &[f64], q: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    let mut sorted: Vec<f64> = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("quantile input must be finite"));
     let q = q.clamp(0.0, 1.0);
-    let pos = q * (sorted.len() - 1) as f64;
+    let pos = q * (xs.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let mut scratch = xs.to_vec();
+    let (_, low, right) = scratch.select_nth_unstable_by(lo, |a, b| {
+        a.partial_cmp(b).expect("quantile input must be finite")
+    });
+    let low = stable_rank_value(xs, lo, *low);
     if lo == hi {
-        sorted[lo]
-    } else {
-        let frac = pos - lo as f64;
-        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        return low;
     }
+    // `hi == lo + 1`, so its value is the smallest one right of `lo`.
+    let high = right
+        .iter()
+        .copied()
+        .reduce(|min, x| if x < min { x } else { min })
+        .expect("hi < xs.len()");
+    let high = stable_rank_value(xs, hi, high);
+    let frac = pos - lo as f64;
+    low * (1.0 - frac) + high * frac
+}
+
+/// The value a stable sort of `xs` puts at `rank`, given the `value`
+/// selection found there. They differ only in the sign of a zero:
+/// `-0.0` and `+0.0` compare equal, so the sort keeps them in input
+/// order, while selection may return either.
+fn stable_rank_value(xs: &[f64], rank: usize, value: f64) -> f64 {
+    if value != 0.0 {
+        return value;
+    }
+    let below = xs.iter().filter(|&&x| x < 0.0).count();
+    xs.iter()
+        .copied()
+        .filter(|&x| x == 0.0)
+        .nth(rank - below)
+        .expect("rank falls in the run of zeros")
 }
 
 /// Median absolute deviation (MAD) of `xs`: `median(|x - median(xs)|)`.
@@ -75,11 +105,16 @@ pub fn quantile(xs: &[f64], q: f64) -> f64 {
 /// The paper's outlier processing (§IV) flags samples whose deviation from
 /// the segment median exceeds a multiple of the MAD.
 pub fn mad(xs: &[f64]) -> f64 {
+    mad_around(xs, median(xs))
+}
+
+/// MAD of `xs` about a `median` the caller already computed:
+/// `median(|x - median|)`.
+pub fn mad_around(xs: &[f64], median_of_xs: f64) -> f64 {
     if xs.is_empty() {
         return 0.0;
     }
-    let med = median(xs);
-    let deviations: Vec<f64> = xs.iter().map(|x| (x - med).abs()).collect();
+    let deviations: Vec<f64> = xs.iter().map(|x| (x - median_of_xs).abs()).collect();
     median(&deviations)
 }
 
@@ -155,6 +190,62 @@ mod tests {
     fn min_max_single_pass() {
         assert_eq!(min_max(&[3.0, -1.0, 7.0]), Some((-1.0, 7.0)));
         assert_eq!(min_max(&[]), None);
+    }
+
+    /// The sort-based quantile the selection replaced.
+    fn sorted_quantile(xs: &[f64], q: f64) -> f64 {
+        if xs.is_empty() {
+            return 0.0;
+        }
+        let mut sorted: Vec<f64> = xs.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).unwrap());
+        let q = q.clamp(0.0, 1.0);
+        let pos = q * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        if lo == hi {
+            sorted[lo]
+        } else {
+            let frac = pos - lo as f64;
+            sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+        }
+    }
+
+    #[test]
+    fn selection_matches_the_stable_sort_bit_for_bit() {
+        use mandipass_util::rand::rngs::StdRng;
+        use mandipass_util::rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x5e1ec7);
+        let pool = [-0.0, 0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300, -1e300];
+        for case in 0..3000 {
+            let len = 1 + case % 41;
+            let xs: Vec<f64> = (0..len)
+                .map(|_| match rng.gen_range(0u32..4) {
+                    // Duplicates and signed zeros from a small pool.
+                    0 | 1 => pool[rng.gen_range(0..pool.len())],
+                    2 => f64::from(rng.gen_range(-4i32..5)),
+                    _ => (rng.next_f64() - 0.5) * 1e3,
+                })
+                .collect();
+            for q in [0.0, 0.25, 0.5, 0.75, 1.0, rng.next_f64()] {
+                assert_eq!(
+                    quantile(&xs, q).to_bits(),
+                    sorted_quantile(&xs, q).to_bits(),
+                    "q={q} xs={xs:?}"
+                );
+            }
+            assert_eq!(
+                mad(&xs).to_bits(),
+                mad_around(&xs, sorted_quantile(&xs, 0.5)).to_bits()
+            );
+        }
+        // A run of zeros keeps its input order under the stable sort.
+        assert_eq!(median(&[0.0, -0.0, 0.0]).to_bits(), (-0.0f64).to_bits());
+        assert_eq!(median(&[-0.0, 0.0, 0.0]).to_bits(), 0.0f64.to_bits());
+        assert_eq!(
+            quantile(&[1.0, -0.0, 0.0, -1.0, 2.0], 0.25).to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]
