@@ -67,7 +67,7 @@ fn main() {
     // the hot-path perf artifact the CI hotpath-smoke job gates on.
     telemetry::event("running the hot-path inference experiment…");
     let (hotpath_table, hotpath_json) =
-        experiments::exp_hotpath(&mut stack).expect("hot-path experiment failed");
+        as_standalone(|| experiments::exp_hotpath(&mut stack)).expect("hot-path experiment failed");
     tables.push(hotpath_table);
     bench_paths.push(gate::write(&hotpath_json).expect("write bench document"));
     tables.push(experiments::table1_comparison(&mut stack, threshold));
@@ -97,8 +97,8 @@ fn main() {
     // Request tracing: traced TCP load with per-stage latency
     // attribution, written next to the serve perf artifact.
     telemetry::event("running the request-tracing experiment…");
-    let (trace_table, trace_json) =
-        experiments::exp_trace(&mut stack, threshold).expect("trace experiment failed");
+    let (trace_table, trace_json) = as_standalone(|| experiments::exp_trace(&mut stack, threshold))
+        .expect("trace experiment failed");
     tables.push(trace_table);
     bench_paths.push(gate::write(&trace_json).expect("write bench document"));
 
@@ -167,4 +167,19 @@ fn main() {
             );
         }
     }
+}
+
+/// Runs `bench` as its own binary runs it by default: span profiler
+/// off and telemetry silent, so the BENCH document it writes can be
+/// compared with the committed baseline (the profiler's frame table and
+/// the text sink's per-span events otherwise slow the timed paths).
+/// Both settings are restored afterwards.
+fn as_standalone<T>(bench: impl FnOnce() -> T) -> T {
+    let (was_profiling, was_mode) = (telemetry::profile::enabled(), telemetry::mode());
+    telemetry::profile::set_enabled(false);
+    telemetry::set_mode(telemetry::Mode::Silent);
+    let out = bench();
+    telemetry::set_mode(was_mode);
+    telemetry::profile::set_enabled(was_profiling);
+    out
 }

@@ -8,6 +8,7 @@ use mandipass::gradient_array::GradientArray;
 use mandipass::prelude::*;
 use mandipass::preprocess::preprocess;
 use mandipass::similarity::cosine_distance;
+use mandipass::template::MatrixMemo;
 use mandipass_classifiers::{
     Classifier, DecisionTree, GaussianNaiveBayes, KNearestNeighbors, LabelledData, LinearSvm,
     MlpClassifier,
@@ -35,8 +36,8 @@ use crate::gate::{self, Gate};
 use crate::harness::TrainedStack;
 use crate::load::{
     cohort_users, deploy_cohort, outcome_signature, plan_indexed_request, run_load, run_open_loop,
-    trace_attribution, DecodeTiming, LoadConfig, LoadReport, LoadTarget, OpenLoopConfig,
-    OpenOutcome,
+    trace_attribution, DecodeTiming, LoadConfig, LoadReport, LoadTarget, MemoUse, OpenLoopConfig,
+    OpenOutcome, SameRun, TransformTiming,
 };
 use crate::scale::{env_or, EvalScale};
 
@@ -1937,6 +1938,7 @@ pub fn exp_serve(
         requests_per_client: REQUESTS,
         ..LoadConfig::default()
     };
+    let memo_before = MemoUse::now();
     let in_process = run_load(
         &LoadTarget::InProcess(&service),
         users,
@@ -1944,6 +1946,8 @@ pub fn exp_serve(
         &load_config,
         Some(monitor),
     );
+    let memo = MatrixMemo::admits(service.system().embedding_dim())
+        .then(|| MemoUse::now().since(memo_before));
     // Fresh drift window per transport so each verdict covers exactly
     // its own run's traffic.
     monitor.reset_windows();
@@ -1975,7 +1979,11 @@ pub fn exp_serve(
     mandipass_telemetry::profile::set_enabled(was_profiling);
     server.shutdown();
     let health = monitor.health();
-    let decode = DecodeTiming::measure(load_config.seed, CLIENTS * REQUESTS, 15, users, recorder);
+    let same_run = SameRun {
+        decode: DecodeTiming::measure(load_config.seed, CLIENTS * REQUESTS, 15, users, recorder),
+        transform: TransformTiming::measure(service.system(), users, recorder, 0x3e30, 15),
+        memo,
+    };
 
     let scale_desc = format!("{CLIENTS} clients x {REQUESTS} requests, {WORKERS} workers");
     let doc = serve_document(
@@ -1984,7 +1992,7 @@ pub fn exp_serve(
         WORKERS,
         &in_process,
         &tcp,
-        &decode,
+        &same_run,
         Some(profile_section),
     );
 
@@ -2064,15 +2072,15 @@ pub fn exp_serve(
 }
 
 /// `BENCH_serve.json`: both transport sections' metrics and the
-/// same-frames decode timing under one gate table, with the run's
-/// config and drift-monitor reports as detail.
+/// same-run decode, transform and memo figures under one gate table,
+/// with the run's config and drift-monitor reports as detail.
 pub(crate) fn serve_document(
     scale: &str,
     config: &LoadConfig,
     workers: usize,
     in_process: &LoadReport,
     tcp: &LoadReport,
-    decode: &DecodeTiming,
+    same_run: &SameRun,
     profile: Option<Value>,
 ) -> Value {
     let mut gates = vec![Gate::absolute("workers").min(1.0)];
@@ -2106,12 +2114,24 @@ pub(crate) fn serve_document(
     // fast path, so what the typed reader saves is the tree and the
     // per-element walk (about 0.5 on the smoke plan).
     gates.push(Gate::same_run("decode.typed_us", "decode.generic_us").max(0.6));
-    let metrics = Value::Object(vec![
+    // A hit is the multiply alone, without the 64² normal draws (about
+    // 0.01 on the smoke prints).
+    gates.push(Gate::same_run("transform.hit_us", "transform.draw_us").max(0.2));
+    gates.push(Gate::bool("transform.memo_bitwise"));
+    let mut metrics = vec![
         ("workers".to_string(), Value::Number(workers as f64)),
         ("in_process".to_string(), in_process.to_json()),
         ("tcp".to_string(), tcp.to_json()),
-        ("decode".to_string(), decode.to_json()),
-    ]);
+        ("decode".to_string(), same_run.decode.to_json()),
+        ("transform".to_string(), same_run.transform.to_json()),
+    ];
+    // Every enrolled user's matrix is drawn at enrolment, so the served
+    // run should reuse it on nearly every transform.
+    if let Some(memo) = &same_run.memo {
+        gates.push(Gate::absolute("memo.hit_rate").min(0.9));
+        metrics.push(("memo".to_string(), memo.to_json()));
+    }
+    let metrics = Value::Object(metrics);
     let detail = Value::Object(vec![
         ("config".to_string(), config.serialise()),
         (

@@ -29,6 +29,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use mandipass::prelude::*;
+use mandipass::template::MatrixMemo;
+use mandipass_dsp::stats::median;
 use mandipass_imu_sim::faults::sweep_profiles;
 use mandipass_imu_sim::{Condition, Recorder, Recording, UserProfile};
 use mandipass_serve::{BreakerConfig, Request, Response, VerifyClient, VerifyService};
@@ -520,6 +522,155 @@ impl DecodeTiming {
     }
 }
 
+/// The same-run figures `BENCH_serve` gates beside its two load runs.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SameRun {
+    /// Typed vs generic frame decode.
+    pub decode: DecodeTiming,
+    /// Memo hit vs fresh draw of the template transform.
+    pub transform: TransformTiming,
+    /// The in-process run's memo lookups; `None` when the deployment's
+    /// matrices are too large for the memo, which leaves the hit-rate
+    /// gate undeclared.
+    pub memo: Option<MemoUse>,
+}
+
+/// Same-run timing of the template transform on the same 64-d prints:
+/// a matrix-memo hit against a fresh draw of the matrix, and whether
+/// the two agree bit for bit.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct TransformTiming {
+    /// Distinct prints (each under its own matrix) timed.
+    pub prints: usize,
+    /// Median memo-hit transform, µs.
+    pub hit_us: f64,
+    /// Median fresh-draw transform, µs.
+    pub draw_us: f64,
+    /// Whether every hit template equals its fresh draw bit for bit.
+    pub memo_bitwise: bool,
+}
+
+impl TransformTiming {
+    /// The print dimension timed, whatever the deployment's: the
+    /// served smoke scale, and one the memo admits.
+    pub const DIM: usize = 64;
+
+    /// Extracts one print per user (recording seed `seed ^ id`), keeps
+    /// its first [`Self::DIM`] components (repeating a shorter print),
+    /// and times `rounds` transforms of each under its own matrix, a
+    /// fresh draw and a memo hit in turn, so a slow stretch of the host
+    /// hits both sides alike.
+    pub fn measure(
+        system: &MandiPass,
+        users: &[UserProfile],
+        recorder: &Recorder,
+        seed: u64,
+        rounds: usize,
+    ) -> TransformTiming {
+        let prints: Vec<MandiblePrint> = users
+            .iter()
+            .filter_map(|u| {
+                let recording = recorder.record(u, Condition::Normal, seed ^ u64::from(u.id));
+                let print = system.extract_print(&recording).ok()?;
+                let values = print.as_slice().iter().copied().cycle().take(Self::DIM);
+                Some(MandiblePrint::new(values.collect()))
+            })
+            .collect();
+        let matrices: Vec<GaussianMatrix> = (0..prints.len())
+            .map(|i| GaussianMatrix::generate(seed ^ ((i as u64) << 8), Self::DIM))
+            .collect();
+        let memo = MatrixMemo::new();
+        let bits = |t: Result<CancelableTemplate, MandiPassError>| {
+            t.map(|t| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+        };
+        let mut memo_bitwise = !prints.is_empty();
+        for (matrix, print) in matrices.iter().zip(&prints) {
+            let drawn = bits(matrix.transform(print));
+            // The first memo call draws into the memo, the second hits.
+            let (miss, hit) = (
+                bits(memo.transform(matrix, print)),
+                bits(memo.transform(matrix, print)),
+            );
+            memo_bitwise &= drawn.is_ok() && miss == drawn && hit == drawn;
+        }
+        let (mut hit_us, mut draw_us) = (Vec::new(), Vec::new());
+        let time_us = |f: &dyn Fn() -> Result<CancelableTemplate, MandiPassError>| {
+            let started = Instant::now();
+            let _ = std::hint::black_box(f());
+            started.elapsed().as_secs_f64() * 1e6
+        };
+        for _ in 0..rounds.max(1) {
+            for (matrix, print) in matrices.iter().zip(&prints) {
+                draw_us.push(time_us(&|| matrix.transform(std::hint::black_box(print))));
+                hit_us.push(time_us(&|| {
+                    memo.transform(matrix, std::hint::black_box(print))
+                }));
+            }
+        }
+        TransformTiming {
+            prints: prints.len(),
+            hit_us: median(&hit_us),
+            draw_us: median(&draw_us),
+            memo_bitwise,
+        }
+    }
+
+    /// The `transform` section of the `BENCH_serve.json` metrics.
+    pub fn to_json(&self) -> Value {
+        let mut fields = crate::gate::numbers(&[
+            ("prints", self.prints as f64),
+            ("hit_us", self.hit_us),
+            ("draw_us", self.draw_us),
+        ]);
+        fields.push(("memo_bitwise".to_string(), Value::Bool(self.memo_bitwise)));
+        Value::Object(fields)
+    }
+}
+
+/// Matrix-memo lookups over one load run, read from the
+/// `template.memo.*` counters.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct MemoUse {
+    /// Transforms that reused a memoized matrix.
+    pub hits: u64,
+    /// Transforms that drew their matrix into the memo.
+    pub misses: u64,
+}
+
+impl MemoUse {
+    /// The process-wide counters now; subtract two readings to get a
+    /// run's lookups.
+    pub fn now() -> MemoUse {
+        let metrics = mandipass_telemetry::metrics();
+        MemoUse {
+            hits: metrics.counter("template.memo.hits").get(),
+            misses: metrics.counter("template.memo.misses").get(),
+        }
+    }
+
+    /// The lookups between `earlier` and `self`.
+    pub fn since(self, earlier: MemoUse) -> MemoUse {
+        MemoUse {
+            hits: self.hits - earlier.hits,
+            misses: self.misses - earlier.misses,
+        }
+    }
+
+    /// Hits over lookups (0 when nothing was looked up).
+    pub fn hit_rate(&self) -> f64 {
+        self.hits as f64 / (self.hits + self.misses).max(1) as f64
+    }
+
+    /// The `memo` section of the `BENCH_serve.json` metrics.
+    pub fn to_json(&self) -> Value {
+        Value::Object(crate::gate::numbers(&[
+            ("hits", self.hits as f64),
+            ("misses", self.misses as f64),
+            ("hit_rate", self.hit_rate()),
+        ]))
+    }
+}
+
 /// A stable, bit-exact signature of one service outcome: decisions
 /// carry their accept/degraded flags, attempt count, and the distance's
 /// exact bit pattern; typed errors carry their kind. Two transports (or
@@ -941,10 +1092,22 @@ mod tests {
         assert!(matches!(report.get("slowest"), Some(Value::Array(a)) if a.is_empty()));
     }
 
-    const FAKE_DECODE: DecodeTiming = DecodeTiming {
-        frames: 8,
-        typed_us: 20.0,
-        generic_us: 60.0,
+    const FAKE_SAME_RUN: SameRun = SameRun {
+        decode: DecodeTiming {
+            frames: 8,
+            typed_us: 20.0,
+            generic_us: 60.0,
+        },
+        transform: TransformTiming {
+            prints: 6,
+            hit_us: 3.0,
+            draw_us: 120.0,
+            memo_bitwise: true,
+        },
+        memo: Some(MemoUse {
+            hits: 95,
+            misses: 1,
+        }),
     };
 
     fn fake_doc(qps: f64, p99: f64) -> Value {
@@ -954,7 +1117,7 @@ mod tests {
             4,
             &fake_report(qps, p99),
             &fake_report(qps * 0.8, p99 * 1.2),
-            &FAKE_DECODE,
+            &FAKE_SAME_RUN,
             None,
         )
     }
@@ -1002,7 +1165,7 @@ mod tests {
             2,
             &report,
             &report,
-            &FAKE_DECODE,
+            &FAKE_SAME_RUN,
             None,
         );
         let err = check(&doc).unwrap_err();
@@ -1016,7 +1179,7 @@ mod tests {
             2,
             &report,
             &report,
-            &FAKE_DECODE,
+            &FAKE_SAME_RUN,
             None,
         );
         assert!(check(&doc).unwrap_err().contains("counts.errors"));

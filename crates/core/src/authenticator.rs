@@ -21,7 +21,7 @@ use crate::gradient_array::GradientArray;
 use crate::preprocess::preprocess;
 use crate::quality::{self, QualityConfig};
 use crate::similarity::{accepts, cosine_distance};
-use crate::template::{CancelableTemplate, GaussianMatrix, MandiblePrint};
+use crate::template::{CancelableTemplate, GaussianMatrix, MandiblePrint, MatrixMemo};
 
 /// Result of one verification request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -100,6 +100,9 @@ pub struct MandiPass {
     /// rejection, and enclave access (the global monitor unless rebound
     /// via [`MandiPass::set_monitor`]).
     monitor: &'static Monitor,
+    /// The users' drawn matrices, so a repeat verify at `dim ≤ 128`
+    /// skips the `dim²` draws; larger matrices stream as before.
+    memo: MatrixMemo,
 }
 
 impl MandiPass {
@@ -113,6 +116,7 @@ impl MandiPass {
             config,
             enclave: SecureEnclave::new(),
             monitor: mandipass_telemetry::monitor::global(),
+            memo: MatrixMemo::new(),
         }
     }
 
@@ -221,8 +225,8 @@ impl MandiPass {
 
     /// Computes everything [`Self::enroll`] seals, without storing it.
     /// Every print the enrolment transforms goes through one
-    /// [`GaussianMatrix::transform_all`] call, so the matrix is drawn
-    /// once per enrolment.
+    /// [`MatrixMemo::transform_all`] call, so the matrix is drawn at
+    /// most once per enrolment (and not at all when the memo holds it).
     fn enrolment(
         &self,
         recordings: &[Recording],
@@ -259,7 +263,7 @@ impl MandiPass {
         batch.push(&mean);
         batch.extend(&prints);
         batch.extend(degraded_mean.as_ref());
-        let mut templates = matrix.transform_all(&batch)?;
+        let mut templates = self.memo.transform_all(matrix, &batch)?;
         let degraded = if degraded_mean.is_some() {
             templates.pop()
         } else {
@@ -298,7 +302,7 @@ impl MandiPass {
             self.enclave.load(user_id)?
         };
         let print = self.extract_print(probe)?;
-        let cancelable = matrix.transform(&print)?;
+        let cancelable = self.memo.transform(matrix, &print)?;
         let outcome = self.decide(&template, &cancelable);
         self.finish_verify(user_id, outcome);
         Ok(outcome)
@@ -467,7 +471,7 @@ impl MandiPass {
         };
         let config = self.degraded_config(policy.degraded_threshold_scale);
         let print = self.extract_print_with_config(probe, &config)?;
-        let cancelable = matrix.transform(&print)?;
+        let cancelable = self.memo.transform(matrix, &print)?;
         let distance = cosine_distance(template.as_slice(), cancelable.as_slice());
         let outcome = VerifyOutcome {
             accepted: accepts(distance, config.threshold),
@@ -511,8 +515,13 @@ impl MandiPass {
 
     /// Revokes `user_id`'s template, returning the old template (the
     /// artefact a replay attacker may have stolen before revocation).
+    /// The matrix memo drops the revoked template's matrix with it.
     pub fn revoke(&mut self, user_id: u32) -> Option<CancelableTemplate> {
-        self.enclave.revoke(user_id)
+        let old = self.enclave.revoke(user_id);
+        if let Some(template) = &old {
+            self.memo.evict_seed(template.matrix_seed());
+        }
+        old
     }
 
     fn decide(&self, template: &CancelableTemplate, probe: &CancelableTemplate) -> VerifyOutcome {
@@ -752,6 +761,39 @@ mod tests {
             system.verify(user.id, &probe, &matrix),
             Err(MandiPassError::NotEnrolled { .. })
         ));
+    }
+
+    #[test]
+    fn verify_reuses_the_enrolment_draw_until_revocation_evicts_it() {
+        let (mut system, pop, recorder) = trained_system();
+        let (a, b) = (&pop.users()[0], &pop.users()[1]);
+        // Two users under one seed, so a verify under the revoked
+        // user's matrix is still possible after the revocation.
+        let matrix = GaussianMatrix::generate(21, system.embedding_dim());
+        for (user, base) in [(a, 9300), (b, 9400)] {
+            let recs: Vec<_> = (0..3)
+                .map(|s| recorder.record(user, Condition::Normal, base + s))
+                .collect();
+            system.enroll(user.id, &recs, &matrix).unwrap();
+        }
+        // The first enrolment drew the matrix; the second reused it.
+        let stats = system.memo.stats();
+        assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
+
+        let probe = recorder.record(b, Condition::Normal, 9500);
+        let before = system.verify(b.id, &probe, &matrix).unwrap();
+        assert_eq!(system.memo.stats().hits, 2);
+        system.revoke(a.id).unwrap();
+        assert_eq!(system.memo.stats().entries, 0);
+        let after = system.verify(b.id, &probe, &matrix).unwrap();
+        let stats = system.memo.stats();
+        assert_eq!(
+            (stats.hits, stats.misses),
+            (2, 2),
+            "the evicted matrix is drawn again"
+        );
+        assert_eq!(before.distance.to_bits(), after.distance.to_bits());
+        assert_eq!(before.accepted, after.accepted);
     }
 
     #[test]

@@ -9,6 +9,9 @@
 //! distance between two prints transformed by the *same* matrix stays
 //! close to the original.
 
+use std::collections::{BTreeMap, HashMap};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+
 use mandipass_util::rand::rngs::StdRng;
 use mandipass_util::rand::SeedableRng;
 use mandipass_util::rand_distr::{Distribution, Normal};
@@ -67,8 +70,8 @@ impl MandiblePrint {
 
 /// A user-revocable Gaussian projection matrix, stored compactly as its
 /// generation seed. Entries are `N(0, 1/dim)` (standard deviation
-/// `1/√dim`), drawn row-major from the seed on every pass and never
-/// stored.
+/// `1/√dim`), drawn row-major from the seed on every pass; only a
+/// [`MatrixMemo`] keeps drawn entries, and only for `dim ≤ 128`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GaussianMatrix {
     seed: u64,
@@ -102,7 +105,7 @@ impl GaussianMatrix {
     pub fn transform(&self, print: &MandiblePrint) -> Result<CancelableTemplate, MandiPassError> {
         self.check_dim(print)?;
         let mut out = self.zero_template();
-        self.project(&[print], std::slice::from_mut(&mut out));
+        self.project(&[print], std::slice::from_mut(&mut out), Rows::Stream);
         Ok(out)
     }
 
@@ -119,12 +122,21 @@ impl GaussianMatrix {
         &self,
         prints: &[&MandiblePrint],
     ) -> Result<Vec<CancelableTemplate>, MandiPassError> {
+        self.transform_rows(prints, Rows::Stream)
+    }
+
+    /// [`Self::transform_all`] with the rows of `G` taken from `rows`.
+    fn transform_rows(
+        &self,
+        prints: &[&MandiblePrint],
+        rows: Rows<'_>,
+    ) -> Result<Vec<CancelableTemplate>, MandiPassError> {
         for print in prints {
             self.check_dim(print)?;
         }
         let mut outs: Vec<CancelableTemplate> =
             prints.iter().map(|_| self.zero_template()).collect();
-        self.project(prints, &mut outs);
+        self.project(prints, &mut outs, rows);
         Ok(outs)
     }
 
@@ -146,37 +158,301 @@ impl GaussianMatrix {
         }
     }
 
-    /// The streaming pass: draws `G` one row at a time, in the
-    /// generator's row-major order, and adds `x[i]·G[i][·]` into every
-    /// output. Each output component is therefore the sum over ascending
-    /// `i` of the same f32 products a column walk of the whole matrix
-    /// would add, so the result matches it bit for bit while holding only
-    /// one `dim`-sized row. `outs` are zeroed, one per print, with
+    /// The one row loop: takes `G` one row at a time, in the generator's
+    /// row-major order, and adds `x[i]·G[i][·]` into every output. Each
+    /// output component is therefore the sum over ascending `i` of the
+    /// same f32 products a column walk of the whole matrix would add, so
+    /// the result matches it bit for bit whether the rows are drawn now
+    /// or were drawn earlier. `outs` are zeroed, one per print, with
     /// dimensions already checked.
-    fn project(&self, prints: &[&MandiblePrint], outs: &mut [CancelableTemplate]) {
+    fn project(&self, prints: &[&MandiblePrint], outs: &mut [CancelableTemplate], rows: Rows<'_>) {
         if prints.is_empty() {
             return;
         }
         let _span = mandipass_telemetry::span("template_transform");
-        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x6761_7573_7373);
+        let dim = self.dim;
         // Only `dim == 0` makes the standard deviation non-finite; its
         // outputs are empty, so there is nothing left to draw for.
-        let Ok(normal) = Normal::new(0.0, 1.0 / (self.dim as f64).sqrt()) else {
+        let Ok(normal) = Normal::new(0.0, 1.0 / (dim as f64).sqrt()) else {
             return;
         };
-        let mut row = vec![0.0f32; self.dim];
-        for i in 0..self.dim {
-            for g in &mut row {
-                *g = normal.sample(&mut rng) as f32;
+        let mut rng = StdRng::seed_from_u64(self.seed ^ 0x6761_7573_7373);
+        // A draw writes row `i` at `buf[i·stride..]`: stride 0 redraws
+        // one row in place, stride `dim` keeps every row.
+        let mut one_row = Vec::new();
+        let (drawn, buf, stride) = match rows {
+            Rows::Drawn(matrix) => (Some(matrix), &mut one_row[..], 0),
+            Rows::Stream => {
+                one_row.resize(dim, 0.0);
+                (None, &mut one_row[..], 0)
             }
+            Rows::Keep(matrix) => {
+                matrix.resize(dim * dim, 0.0);
+                (None, &mut matrix[..], dim)
+            }
+        };
+        for i in 0..dim {
+            let row: &[f32] = match drawn {
+                Some(matrix) => &matrix[i * dim..][..dim],
+                None => {
+                    let row = &mut buf[i * stride..][..dim];
+                    for g in row.iter_mut() {
+                        *g = normal.sample(&mut rng) as f32;
+                    }
+                    row
+                }
+            };
             for (print, out) in prints.iter().zip(outs.iter_mut()) {
                 let xi = print.as_slice()[i];
-                for (o, &g) in out.values.iter_mut().zip(&row) {
+                for (o, &g) in out.values.iter_mut().zip(row) {
                     *o += xi * g;
                 }
             }
         }
     }
+}
+
+/// Where [`GaussianMatrix::project`] takes the rows of `G` from.
+enum Rows<'a> {
+    /// Draw each row from the seed into a one-row buffer.
+    Stream,
+    /// Draw each row from the seed and keep all `dim²` entries,
+    /// row-major, in the buffer: a memo miss.
+    Keep(&'a mut Vec<f32>),
+    /// Read the rows of a matrix [`Rows::Keep`] drew earlier: a memo hit.
+    Drawn(&'a [f32]),
+}
+
+/// A bounded least-recently-used memo of drawn Gaussian matrices, keyed
+/// by `(seed, dim)`, so a user who verifies again does not redraw the
+/// `dim²` Box–Muller normals of a matrix already drawn.
+///
+/// It admits a matrix only when its entries take at most
+/// [`MatrixMemo::ENTRY_MAX_BYTES`] (`dim ≤ 128`) and holds at most
+/// [`MatrixMemo::BUDGET_BYTES`], evicting the least recently used entry
+/// to make room; every entry is charged at least
+/// [`MatrixMemo::ENTRY_MIN_CHARGE`], so tiny matrices cannot fill the
+/// budget with bookkeeping. Larger matrices bypass the memo and take
+/// the streaming pass of [`GaussianMatrix::transform_all`] unchanged.
+/// A hit multiplies the memoized rows with the same row loop a draw
+/// uses, so every template is bit-identical either way.
+///
+/// Lookups bump the `template.memo.hits` / `template.memo.misses`
+/// counters; the `template.memo.bytes` gauge sums the bytes every live
+/// memo charges against its budget.
+#[derive(Default)]
+pub struct MatrixMemo {
+    inner: Mutex<MemoInner>,
+}
+
+/// A memo key: the matrix's `(seed, dim)`.
+type Key = (u64, usize);
+
+#[derive(Default)]
+struct MemoInner {
+    /// Drawn matrices, row-major, with the tick of their last use.
+    entries: HashMap<Key, (Arc<[f32]>, u64)>,
+    /// Last-use tick → key, oldest first.
+    recency: BTreeMap<u64, Key>,
+    tick: u64,
+    bytes: usize,
+    hits: u64,
+    misses: u64,
+}
+
+/// A point-in-time view of one [`MatrixMemo`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct MemoStats {
+    /// Matrices held.
+    pub(crate) entries: usize,
+    /// Bytes charged against [`MatrixMemo::BUDGET_BYTES`].
+    pub(crate) bytes: usize,
+    /// Lookups that found their matrix.
+    pub(crate) hits: u64,
+    /// Lookups that drew their matrix.
+    pub(crate) misses: u64,
+}
+
+impl MatrixMemo {
+    /// The most the memo holds: 1 MiB.
+    pub const BUDGET_BYTES: usize = 1 << 20;
+    /// The largest matrix the memo admits: 64 KiB, a 128-d matrix, so
+    /// at least 16 users fit.
+    pub const ENTRY_MAX_BYTES: usize = 64 << 10;
+    /// The least an entry is charged, so the budget also bounds the
+    /// entry count (and with it the map's bookkeeping) at 1024.
+    pub const ENTRY_MIN_CHARGE: usize = 1 << 10;
+
+    /// An empty memo.
+    pub fn new() -> Self {
+        MatrixMemo::default()
+    }
+
+    /// Whether matrices of dimension `dim` enter the memo.
+    pub fn admits(dim: usize) -> bool {
+        matrix_bytes(dim) <= Self::ENTRY_MAX_BYTES
+    }
+
+    /// [`GaussianMatrix::transform`] through the memo.
+    ///
+    /// # Errors
+    ///
+    /// As [`GaussianMatrix::transform`].
+    pub fn transform(
+        &self,
+        matrix: &GaussianMatrix,
+        print: &MandiblePrint,
+    ) -> Result<CancelableTemplate, MandiPassError> {
+        if !Self::admits(matrix.dim) {
+            return matrix.transform(print);
+        }
+        // One print in, one template out; an empty result would be a
+        // shape failure, not a panic-worthy state.
+        self.transform_all(matrix, &[print])?
+            .pop()
+            .ok_or(MandiPassError::DimensionMismatch {
+                expected: 1,
+                got: 0,
+            })
+    }
+
+    /// [`GaussianMatrix::transform_all`] through the memo: a hit reads
+    /// the memoized rows, a miss draws the rows into a new entry while
+    /// it multiplies them. An empty batch or a dimension error looks
+    /// nothing up.
+    ///
+    /// # Errors
+    ///
+    /// As [`GaussianMatrix::transform_all`].
+    pub fn transform_all(
+        &self,
+        matrix: &GaussianMatrix,
+        prints: &[&MandiblePrint],
+    ) -> Result<Vec<CancelableTemplate>, MandiPassError> {
+        if prints.is_empty() || !Self::admits(matrix.dim) {
+            return matrix.transform_all(prints);
+        }
+        for print in prints {
+            matrix.check_dim(print)?;
+        }
+        let key = (matrix.seed, matrix.dim);
+        if let Some(drawn) = self.lookup(key) {
+            return matrix.transform_rows(prints, Rows::Drawn(&drawn));
+        }
+        let mut drawn = Vec::new();
+        let outs = matrix.transform_rows(prints, Rows::Keep(&mut drawn))?;
+        self.insert(key, drawn.into());
+        Ok(outs)
+    }
+
+    /// Drops every matrix drawn from `seed` (a revoked user's).
+    pub(crate) fn evict_seed(&self, seed: u64) {
+        let mut inner = self.lock();
+        let keys: Vec<Key> = inner
+            .entries
+            .keys()
+            .filter(|(s, _)| *s == seed)
+            .copied()
+            .collect();
+        for key in keys {
+            inner.remove(key);
+        }
+    }
+
+    /// Entries, bytes and lookup counts of this memo.
+    pub(crate) fn stats(&self) -> MemoStats {
+        let inner = self.lock();
+        MemoStats {
+            entries: inner.entries.len(),
+            bytes: inner.bytes,
+            hits: inner.hits,
+            misses: inner.misses,
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, MemoInner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The memoized matrix for `key`, marked most recently used.
+    fn lookup(&self, key: Key) -> Option<Arc<[f32]>> {
+        let mut guard = self.lock();
+        let inner = &mut *guard;
+        inner.tick += 1;
+        let Some((drawn, used)) = inner.entries.get_mut(&key) else {
+            inner.misses += 1;
+            mandipass_telemetry::counter!("template.memo.misses").inc();
+            return None;
+        };
+        inner.recency.remove(&*used);
+        *used = inner.tick;
+        inner.recency.insert(inner.tick, key);
+        inner.hits += 1;
+        mandipass_telemetry::counter!("template.memo.hits").inc();
+        Some(Arc::clone(drawn))
+    }
+
+    /// Admits a freshly drawn matrix, evicting least recently used
+    /// entries until it fits. Two threads that missed the same key
+    /// drew the same bits; the second keeps the first's entry.
+    fn insert(&self, key: Key, drawn: Arc<[f32]>) {
+        let mut inner = self.lock();
+        if inner.entries.contains_key(&key) {
+            return;
+        }
+        let charge = charge(key.1);
+        while inner.bytes + charge > Self::BUDGET_BYTES {
+            let Some((_, &oldest)) = inner.recency.iter().next() else {
+                break;
+            };
+            inner.remove(oldest);
+        }
+        inner.tick += 1;
+        let tick = inner.tick;
+        inner.entries.insert(key, (drawn, tick));
+        inner.recency.insert(tick, key);
+        inner.bytes += charge;
+        memo_bytes_gauge().add(charge as f64);
+    }
+}
+
+impl MemoInner {
+    fn remove(&mut self, key: Key) {
+        if let Some((_, used)) = self.entries.remove(&key) {
+            self.recency.remove(&used);
+            let charge = charge(key.1);
+            self.bytes -= charge;
+            memo_bytes_gauge().add(-(charge as f64));
+        }
+    }
+}
+
+impl Drop for MatrixMemo {
+    fn drop(&mut self) {
+        let inner = self.inner.get_mut().unwrap_or_else(PoisonError::into_inner);
+        memo_bytes_gauge().add(-(inner.bytes as f64));
+    }
+}
+
+impl std::fmt::Debug for MatrixMemo {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("MatrixMemo").field(&self.stats()).finish()
+    }
+}
+
+fn memo_bytes_gauge() -> &'static mandipass_telemetry::Gauge {
+    mandipass_telemetry::gauge!("template.memo.bytes")
+}
+
+/// Bytes of a `dim × dim` f32 matrix (saturating, so any `dim` compares).
+fn matrix_bytes(dim: usize) -> usize {
+    dim.saturating_mul(dim)
+        .saturating_mul(std::mem::size_of::<f32>())
+}
+
+/// What a `dim`-d entry costs the memo's budget.
+fn charge(dim: usize) -> usize {
+    matrix_bytes(dim).max(MatrixMemo::ENTRY_MIN_CHARGE)
 }
 
 /// A Gaussian-transformed MandiblePrint — safe to store at rest; revoked
@@ -327,6 +603,10 @@ mod tests {
         values.iter().map(|v| v.to_bits()).collect()
     }
 
+    fn holds(memo: &MatrixMemo, seed: u64, dim: usize) -> bool {
+        memo.lock().entries.contains_key(&(seed, dim))
+    }
+
     #[test]
     fn streaming_pass_matches_the_materialised_oracle_bit_for_bit() {
         for dim in [1, 7, 64, 130, 512] {
@@ -348,6 +628,126 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn memo_hit_miss_and_over_cap_match_the_materialised_oracle_bit_for_bit() {
+        // 128 is the largest dim the memo admits and 130 the smallest it
+        // turns away, so both sides of the cap run.
+        for dim in [1, 7, 64, 128, 130, 512] {
+            let admitted = MatrixMemo::admits(dim);
+            assert_eq!(admitted, dim <= 128, "dim {dim}");
+            for k in [1usize, 2, 6] {
+                let memo = MatrixMemo::new();
+                let g = GaussianMatrix::generate(0x5eed ^ dim as u64, dim);
+                let prints: Vec<MandiblePrint> = (0..k)
+                    .map(|p| random_print(300 * dim as u64 + p as u64, dim))
+                    .collect();
+                let refs: Vec<&MandiblePrint> = prints.iter().collect();
+                let want: Vec<Vec<u32>> = prints
+                    .iter()
+                    .map(|p| bits(&oracle_transform(&g, p)))
+                    .collect();
+                // First pass: a miss (or the streaming pass over the cap),
+                // then a hit on the same matrix.
+                for (pass, hits) in [("miss", 0), ("hit", 1)] {
+                    let batch = memo.transform_all(&g, &refs).unwrap();
+                    let got: Vec<Vec<u32>> = batch.iter().map(|t| bits(t.as_slice())).collect();
+                    assert_eq!(got, want, "{pass}: dim {dim} k {k}");
+                    let stats = memo.stats();
+                    if admitted {
+                        assert_eq!((stats.hits, stats.misses), (hits, 1), "dim {dim}");
+                        assert!(holds(&memo, g.seed(), dim));
+                    } else {
+                        assert_eq!(
+                            stats,
+                            MemoStats {
+                                entries: 0,
+                                bytes: 0,
+                                hits: 0,
+                                misses: 0
+                            }
+                        );
+                    }
+                }
+                for (p, want) in prints.iter().zip(&want) {
+                    let single = memo.transform(&g, p).unwrap();
+                    assert_eq!(&bits(single.as_slice()), want, "single: dim {dim} k {k}");
+                    assert_eq!(single.matrix_seed(), g.seed());
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn memo_stays_within_its_budget() {
+        let memo = MatrixMemo::new();
+        let mut seen = 0;
+        for (seed, dim) in (0..200u64).map(|s| (s, [3usize, 16, 64, 100, 128][s as usize % 5])) {
+            let p = random_print(seed, dim);
+            memo.transform(&GaussianMatrix::generate(seed, dim), &p)
+                .unwrap();
+            let stats = memo.stats();
+            assert!(stats.bytes <= MatrixMemo::BUDGET_BYTES, "{stats:?}");
+            seen = seen.max(stats.entries);
+        }
+        assert!(
+            seen >= 16,
+            "the budget should hold at least 16 entries, held {seen}"
+        );
+        // Past the cap nothing is admitted.
+        let before = memo.stats();
+        memo.transform(&GaussianMatrix::generate(1, 129), &random_print(1, 129))
+            .unwrap();
+        assert_eq!(memo.stats(), before);
+    }
+
+    #[test]
+    fn memo_evicts_the_least_recently_used_matrix_for_a_17th_user() {
+        let dim = 128;
+        assert_eq!(dim * dim * 4, MatrixMemo::ENTRY_MAX_BYTES);
+        let memo = MatrixMemo::new();
+        let p = random_print(9, dim);
+        for seed in 0..16u64 {
+            memo.transform(&GaussianMatrix::generate(seed, dim), &p)
+                .unwrap();
+        }
+        assert_eq!(memo.stats().bytes, MatrixMemo::BUDGET_BYTES);
+        // User 0 verifies again, so user 1 is now the least recent.
+        memo.transform(&GaussianMatrix::generate(0, dim), &p)
+            .unwrap();
+        memo.transform(&GaussianMatrix::generate(16, dim), &p)
+            .unwrap();
+        let stats = memo.stats();
+        assert_eq!(stats.entries, 16);
+        assert_eq!(stats.bytes, MatrixMemo::BUDGET_BYTES);
+        assert!(!holds(&memo, 1, dim), "the least recently used entry stays");
+        for seed in [0u64, 2, 15, 16] {
+            assert!(holds(&memo, seed, dim), "seed {seed} was evicted");
+        }
+    }
+
+    #[test]
+    fn memo_evicts_every_dim_of_a_seed_and_skips_failed_lookups() {
+        let memo = MatrixMemo::new();
+        for dim in [8, 16] {
+            memo.transform(&GaussianMatrix::generate(5, dim), &random_print(1, dim))
+                .unwrap();
+        }
+        memo.transform(&GaussianMatrix::generate(6, 8), &random_print(1, 8))
+            .unwrap();
+        memo.evict_seed(5);
+        assert!(!holds(&memo, 5, 8) && !holds(&memo, 5, 16) && holds(&memo, 6, 8));
+        // A dimension error and an empty batch look nothing up.
+        let before = memo.stats();
+        assert!(memo
+            .transform(&GaussianMatrix::generate(7, 8), &random_print(1, 9))
+            .is_err());
+        assert!(memo
+            .transform_all(&GaussianMatrix::generate(7, 8), &[])
+            .unwrap()
+            .is_empty());
+        assert_eq!(memo.stats(), before);
     }
 
     #[test]

@@ -97,6 +97,15 @@ fn help_text(name: &str) -> Option<&'static str> {
         "mandipass_window_quality_rejects" => "Quality-gate rejects in the window, by reason.",
         "mandipass_window_audit_events" => "Enclave audit events in the window, by kind.",
         "mandipass_flights_retained" => "Failed-verification flight records currently retained.",
+        "mandipass_template_memo_hits_total" => {
+            "Template transforms that reused a memoized Gaussian matrix."
+        }
+        "mandipass_template_memo_misses_total" => {
+            "Memo-eligible template transforms that drew their Gaussian matrix."
+        }
+        "mandipass_template_memo_bytes" => {
+            "Bytes the live matrix memos charge against their budgets."
+        }
         _ => return None,
     })
 }

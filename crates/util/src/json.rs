@@ -113,6 +113,9 @@ fn write_number(n: f64, out: &mut String) {
     if !n.is_finite() {
         // JSON has no Inf/NaN; emit null like serde_json's lossy modes.
         out.push_str("null");
+    } else if n == 0.0 && n.is_sign_negative() {
+        // The integer cast below would drop the sign of -0.0.
+        out.push_str("-0");
     } else if n == n.trunc() && n.abs() < 1e15 {
         let _ = write!(out, "{}", n as i64);
     } else {
@@ -533,6 +536,15 @@ mod tests {
         assert_eq!(Value::Number(42.0).to_json(), "42");
         assert_eq!(Value::Number(-3.0).to_json(), "-3");
         assert_eq!(Value::Number(1.5).to_json(), "1.5");
+    }
+
+    #[test]
+    fn signed_zeros_survive_a_round_trip() {
+        for (zero, text) in [(0.0f64, "0"), (-0.0, "-0")] {
+            assert_eq!(Value::Number(zero).to_json(), text);
+            let back = parse(text).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), zero.to_bits(), "{text}");
+        }
     }
 
     #[test]

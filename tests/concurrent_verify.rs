@@ -15,14 +15,8 @@ use mandipass_telemetry::Monitor;
 const THREADS: usize = 4;
 const VERIFIES: usize = 8;
 
-/// A small trained deployment, one enrolled user, a private monitor.
-fn deployment() -> (
-    MandiPass,
-    &'static Monitor,
-    u32,
-    GaussianMatrix,
-    Vec<Recording>,
-) {
+/// A small trained extractor; users 0 and 1 stay unseen.
+fn trained() -> (BiometricExtractor, Population, Recorder) {
     let pop = Population::generate(6, 77);
     let recorder = Recorder::default();
     let trainer = VspTrainer::new(TrainingConfig {
@@ -31,6 +25,18 @@ fn deployment() -> (
         ..TrainingConfig::fast_demo()
     });
     let extractor = trainer.train(&pop.users()[2..], &recorder).expect("train");
+    (extractor, pop, recorder)
+}
+
+/// A small trained deployment, one enrolled user, a private monitor.
+fn deployment() -> (
+    MandiPass,
+    &'static Monitor,
+    u32,
+    GaussianMatrix,
+    Vec<Recording>,
+) {
+    let (extractor, pop, recorder) = trained();
     let mut system = MandiPass::new(extractor, PipelineConfig::default());
     let monitor: &'static Monitor = Box::leak(Box::new(Monitor::default()));
     system.set_monitor(monitor);
@@ -126,5 +132,98 @@ fn concurrent_verifies_match_serial_bit_for_bit() {
         health.decisions,
         (THREADS * VERIFIES) as u64,
         "drift monitor missed decisions from concurrent verifies"
+    );
+}
+
+/// The matrix memo under contention: THREADS workers verify shared
+/// users, half the time under the user's enrolled matrix (a memo hit)
+/// and half under one of a few fresh matrices the threads share (a miss
+/// for whichever thread meets it first, and possibly for two at once).
+/// Every decision must equal a serial pass on an identical deployment.
+#[test]
+fn concurrent_memo_hits_and_misses_match_serial_bit_for_bit() {
+    const USERS: usize = 2;
+    const FRESH: usize = 3;
+    let (extractor, pop, recorder) = trained();
+    let users = &pop.users()[..USERS];
+    let dim = extractor.embedding_dim();
+    let enrolled = |u: usize| GaussianMatrix::generate(700 + u as u64, dim);
+    // Slot `i` probes user `i % USERS`; every other round of slots
+    // swaps the enrolled matrix for a fresh one.
+    let matrix_of = |i: usize| match (i / USERS) % 2 {
+        0 => enrolled(i % USERS),
+        _ => GaussianMatrix::generate(900 + (i / USERS / 2 % FRESH) as u64, dim),
+    };
+    let deploy = || {
+        let mut system = MandiPass::new(extractor.clone(), PipelineConfig::default());
+        system.set_monitor(Box::leak(Box::new(Monitor::default())));
+        for (u, user) in users.iter().enumerate() {
+            let enrolment: Vec<_> = (0..3)
+                .map(|s| recorder.record(user, Condition::Normal, 43_000 + 10 * u as u64 + s))
+                .collect();
+            system
+                .enroll(user.id, &enrolment, &enrolled(u))
+                .expect("enroll");
+        }
+        system
+    };
+    let slots: Vec<(u32, Recording, GaussianMatrix)> = (0..THREADS * VERIFIES)
+        .map(|i| {
+            let user = &users[i % USERS];
+            let probe = recorder.record(user, Condition::Normal, 44_000 + i as u64);
+            (user.id, probe, matrix_of(i))
+        })
+        .collect();
+    let decide = |system: &MandiPass,
+                  (user_id, probe, matrix): &(u32, Recording, GaussianMatrix)| {
+        let outcome = system.verify(*user_id, probe, matrix).expect("verify");
+        (outcome.accepted, outcome.distance.to_bits())
+    };
+
+    let serial_system = deploy();
+    let serial: Vec<(bool, u64)> = slots.iter().map(|s| decide(&serial_system, s)).collect();
+    assert!(
+        serial.iter().any(|d| d.0),
+        "no enrolled-matrix probe verified"
+    );
+
+    let shared = deploy();
+    let hits = mandipass_telemetry::metrics().counter("template.memo.hits");
+    let misses = mandipass_telemetry::metrics().counter("template.memo.misses");
+    let (hits_before, misses_before) = (hits.get(), misses.get());
+    let mut concurrent = vec![(false, 0u64); slots.len()];
+    let start = std::sync::Barrier::new(THREADS);
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (shared, slots, decide, start) = (&shared, &slots, &decide, &start);
+                scope.spawn(move || {
+                    // All threads start together, so the first slots,
+                    // two of which share a fresh matrix, race for the memo.
+                    start.wait();
+                    // Interleave the slots across threads so every thread
+                    // meets every user and every fresh matrix.
+                    (t..slots.len())
+                        .step_by(THREADS)
+                        .map(|i| (i, decide(shared, &slots[i])))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        for worker in workers {
+            for (i, decision) in worker.join().expect("verify thread") {
+                concurrent[i] = decision;
+            }
+        }
+    });
+    assert_eq!(concurrent, serial, "a memo hit or miss moved a decision");
+    // Other tests in this binary only add to the global counters.
+    assert!(
+        misses.get() - misses_before >= FRESH as u64,
+        "fresh matrices were not drawn"
+    );
+    assert!(
+        hits.get() - hits_before >= (slots.len() / 2) as u64,
+        "enrolled matrices missed"
     );
 }

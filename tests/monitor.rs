@@ -183,4 +183,12 @@ fn prometheus_exposition_of_a_live_system_passes_lint() {
     assert!(text.contains("mandipass_window_decisions 4"));
     // The enclave audit feed reached the windowed counters.
     assert!(text.contains("mandipass_window_audit_events{kind=\"load\"}"));
+    // The matrix memo shows whether a transform drew or reused.
+    for family in [
+        "mandipass_template_memo_hits_total counter",
+        "mandipass_template_memo_misses_total counter",
+        "mandipass_template_memo_bytes gauge",
+    ] {
+        assert!(text.contains(&format!("# TYPE {family}")), "{family}");
+    }
 }
