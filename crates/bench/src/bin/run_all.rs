@@ -160,10 +160,10 @@ fn main() {
             println!(
                 "  {:>2}. {path}  self {} total {} calls {} p99 {}",
                 rank + 1,
-                stats.self_nanos,
-                stats.total_nanos,
-                stats.count,
-                stats.quantile(0.99),
+                stats.self_nanos(),
+                stats.total_nanos(),
+                stats.count(),
+                stats.histogram().quantile(0.99),
             );
         }
     }

@@ -1027,8 +1027,8 @@ pub fn exp_overhead(stack: &mut TrainedStack) -> ReportTable {
     let mean_secs = |name: &str| {
         stats
             .iter()
-            .find(|s| s.name == name)
-            .map_or(f64::NAN, |s| s.mean / 1e9)
+            .find(|(stage, _)| *stage == name)
+            .map_or(f64::NAN, |(_, h)| h.mean() / 1e9)
     };
     let pre = mean_secs("preprocess");
     table.push(ExperimentRecord::new(
@@ -1176,8 +1176,8 @@ pub fn exp_hotpath(stack: &mut TrainedStack) -> Result<(ReportTable, Value), Man
     let mean_ns = |name: &str| {
         stats
             .iter()
-            .find(|s| s.name == name)
-            .map_or(0.0, |s| s.mean)
+            .find(|(stage, _)| *stage == name)
+            .map_or(0.0, |(_, h)| h.mean())
     };
 
     // Embedded profile summary from a *separate* profiled pass after

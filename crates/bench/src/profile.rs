@@ -9,12 +9,14 @@
 //! compare` fails the report names *which frame* regressed instead of
 //! just that p99 moved.
 
+use std::collections::BTreeMap;
+
 use mandipass_util::json::Value;
 
 /// One frame's regression verdict from [`attribute_profiles`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct FrameRegression {
-    /// Dot-joined frame path.
+    /// Dot-joined frame path, without any `workerN.` root.
     pub path: String,
     /// Fresh self nanoseconds per call.
     pub fresh_self_per_call: f64,
@@ -42,11 +44,43 @@ fn frame_stat(frame: &Value, key: &str) -> f64 {
     frame.get(key).and_then(Value::as_f64).unwrap_or(0.0)
 }
 
+/// The path with a leading `workerN.` root removed: serve workers label
+/// their subtrees, and which worker served a request is not a property
+/// of the code being attributed.
+fn without_worker_root(path: &str) -> &str {
+    match path.split_once('.') {
+        Some((root, rest))
+            if root
+                .strip_prefix("worker")
+                .is_some_and(|n| !n.is_empty() && n.bytes().all(|b| b.is_ascii_digit())) =>
+        {
+            rest
+        }
+        _ => path,
+    }
+}
+
+/// `(count, self_nanos)` per frame, summed over frames that differ
+/// only by their worker root.
+fn fold_workers(frames: &[(String, Value)]) -> BTreeMap<&str, (f64, f64)> {
+    let mut folded = BTreeMap::new();
+    for (path, frame) in frames {
+        let entry = folded
+            .entry(without_worker_root(path))
+            .or_insert((0.0, 0.0));
+        entry.0 += frame_stat(frame, "count");
+        entry.1 += frame_stat(frame, "self_nanos");
+    }
+    folded
+}
+
 /// Diffs the embedded profile summaries of two bench documents and
 /// returns the top `k` frames by per-call self-time growth, worst
-/// first. Frames absent from the baseline rank highest (infinite
-/// ratio); frames that got *faster* are excluded. Ties break by path,
-/// so the ranking is deterministic.
+/// first. Frames that differ only by a `workerN.` root are summed
+/// first, so a frame served by another worker is not a new one. Frames
+/// absent from the baseline rank highest (infinite ratio); frames that
+/// got *faster* are excluded. Ties break by path, so the ranking is
+/// deterministic.
 ///
 /// # Errors
 ///
@@ -56,25 +90,17 @@ pub fn attribute_profiles(
     baseline: &Value,
     k: usize,
 ) -> Result<Vec<FrameRegression>, String> {
-    let fresh_frames = frames_of(fresh, "fresh")?;
-    let base_frames = frames_of(baseline, "baseline")?;
-    let base_lookup = |path: &str| {
-        base_frames
-            .iter()
-            .find(|(p, _)| p == path)
-            .map(|(_, frame)| frame)
-    };
+    let fresh_frames = fold_workers(frames_of(fresh, "fresh")?);
+    let base_frames = fold_workers(frames_of(baseline, "baseline")?);
     let mut regressions: Vec<FrameRegression> = fresh_frames
         .iter()
-        .filter_map(|(path, frame)| {
-            let calls = frame_stat(frame, "count");
+        .filter_map(|(&path, &(calls, self_nanos))| {
             if calls <= 0.0 {
                 return None;
             }
-            let fresh_per_call = frame_stat(frame, "self_nanos") / calls;
-            let base = base_lookup(path).and_then(|b| {
-                let base_calls = frame_stat(b, "count");
-                (base_calls > 0.0).then(|| frame_stat(b, "self_nanos") / base_calls)
+            let fresh_per_call = self_nanos / calls;
+            let base = base_frames.get(path).and_then(|&(base_calls, base_self)| {
+                (base_calls > 0.0).then(|| base_self / base_calls)
             });
             let ratio = match base {
                 // A brand-new frame with no self time is noise, not a
@@ -89,7 +115,7 @@ pub fn attribute_profiles(
                 return None;
             }
             Some(FrameRegression {
-                path: path.clone(),
+                path: path.to_string(),
                 fresh_self_per_call: fresh_per_call,
                 base_self_per_call: base,
                 ratio,
@@ -192,6 +218,43 @@ mod tests {
         assert_eq!(top[0].path, "verify.surprise");
         assert!(top[0].ratio.is_infinite());
         assert!(render_attribution(&top).contains("(new,"));
+    }
+
+    #[test]
+    fn worker_roots_fold_before_ranking() {
+        let baseline = doc(&[
+            ("worker0.serve.verify", 30.0, 3_000.0),
+            ("worker1.serve.verify", 10.0, 1_000.0),
+            ("worker1.serve.decode", 40.0, 400.0),
+            ("serve.health", 5.0, 50.0),
+        ]);
+        // The same work served by other workers.
+        let relabelled = doc(&[
+            ("worker2.serve.verify", 25.0, 2_500.0),
+            ("worker3.serve.verify", 15.0, 1_500.0),
+            ("worker0.serve.decode", 40.0, 400.0),
+            ("serve.health", 5.0, 50.0),
+        ]);
+        let top = attribute_profiles(&relabelled, &baseline, 5).unwrap_or_else(|e| panic!("{e}"));
+        assert!(
+            render_attribution(&top).contains("no frame regressed"),
+            "{top:?}"
+        );
+        // A real 2x self-time growth on one worker still ranks first.
+        let regressed = doc(&[
+            ("worker2.serve.verify", 25.0, 2_500.0),
+            ("worker3.serve.verify", 15.0, 1_500.0),
+            ("worker0.serve.decode", 20.0, 400.0),
+            ("worker1.serve.decode", 20.0, 400.0),
+            ("serve.health", 5.0, 50.0),
+        ]);
+        let top = attribute_profiles(&regressed, &baseline, 5).unwrap_or_else(|e| panic!("{e}"));
+        assert_eq!(top.len(), 1, "{top:?}");
+        assert_eq!(top[0].path, "serve.decode");
+        assert!((top[0].ratio - 2.0).abs() < 1e-9);
+        assert_eq!(without_worker_root("workers.x"), "workers.x");
+        assert_eq!(without_worker_root("worker.x"), "worker.x");
+        assert_eq!(without_worker_root("worker12.x.y"), "x.y");
     }
 
     #[test]

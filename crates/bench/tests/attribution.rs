@@ -1,6 +1,7 @@
 //! The committed attribution fixtures are the contract for the CI
 //! `profile-smoke` job: it runs `check_bench attribute` over the same
-//! two files and greps the report for the injected hot frame. These
+//! files and greps the report for the injected hot frame, and for a
+//! clean verdict on the worker-relabelled copy. These
 //! tests keep the fixtures and the attribution engine honest against
 //! each other, so the CI grep can never pass vacuously.
 
@@ -41,6 +42,15 @@ fn fixture_attribution_is_clean_when_diffed_against_itself() {
     let baseline = fixture("profile_baseline.json");
     let top = attribute_profiles(&baseline, &baseline, 5).unwrap_or_else(|e| panic!("{e}"));
     assert!(top.is_empty(), "self-diff regressed: {top:?}");
+    assert!(render_attribution(&top).contains("no frame regressed"));
+}
+
+#[test]
+fn fixture_attribution_is_clean_when_only_worker_labels_differ() {
+    let relabelled = fixture("profile_relabelled.json");
+    let baseline = fixture("profile_baseline.json");
+    let top = attribute_profiles(&relabelled, &baseline, 5).unwrap_or_else(|e| panic!("{e}"));
+    assert!(top.is_empty(), "worker relabelling regressed: {top:?}");
     assert!(render_attribution(&top).contains("no frame regressed"));
 }
 

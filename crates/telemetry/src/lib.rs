@@ -11,7 +11,8 @@
 //!   the RAII guard closes it on drop (including during unwinding), so
 //!   instrumented code never leaks scope state.
 //! * [`metrics`](mod@metrics) — a global registry of atomic counters, gauges, and
-//!   fixed-bucket histograms with quantile readout. The [`counter!`],
+//!   log-linear [`Histogram`]s, the one quantile type the registry,
+//!   trace attribution, stage reports and profiler share. The [`counter!`],
 //!   [`gauge!`] and [`histogram!`] macros cache their handle in a
 //!   call-site `static`, so a hot-path increment is one atomic add.
 //! * [`sink`] — a pluggable output API. The default sink is silent and
@@ -36,7 +37,7 @@
 //!   ring holds the [`flight`] records of failed verifications.
 //! * [`profile`] + [`alloc`] — continuous profiling: every span close
 //!   feeds a deterministic process-wide call tree (self/total time,
-//!   counts, bucketed p50/p99 per frame) behind `MANDIPASS_PROFILE`,
+//!   counts, [`Histogram`] p50/p99 per frame) behind `MANDIPASS_PROFILE`,
 //!   and an opt-in counting global allocator attributes heap traffic
 //!   to the innermost span path behind `MANDIPASS_PROFILE_ALLOC`.
 //!   Folded-stack and JSON exports serve at `/profile/cpu` and
@@ -125,8 +126,10 @@ macro_rules! gauge {
     }};
 }
 
-/// Caches a [`Histogram`] handle (default latency buckets) in a
-/// call-site `static`.
+/// Caches a [`Histogram`] handle in a call-site `static`. Every
+/// histogram has the same log-linear buckets over `[2^-32, 2^40)`
+/// (seconds and nanoseconds alike), and quantiles read at most 2^-4
+/// below the exact nearest-rank value; see [`Histogram`].
 #[macro_export]
 macro_rules! histogram {
     ($name:expr) => {{

@@ -1,5 +1,6 @@
-//! A global registry of atomic counters, gauges, and fixed-bucket
-//! histograms with quantile readout.
+//! A global registry of atomic counters, gauges, and log-linear
+//! histograms with quantile readout ([`Histogram`] documents its layout,
+//! rank rule and error bound).
 //!
 //! Handles are `Arc`-backed and cheap to clone; the [`crate::counter!`]
 //! family of macros caches a handle per call site, so hot-path updates
@@ -74,63 +75,158 @@ fn atomic_f64_update(cell: &AtomicU64, value: f64, keep: impl Fn(f64, f64) -> f6
     }
 }
 
+/// Linear sub-buckets per power of two, as a bit count: each octave
+/// `[2^e, 2^(e+1))` splits into 2^4 equal buckets, so a bucket's lower
+/// bound is within 2^-4 (6.25%) below every value in it.
+const SUB_BITS: u32 = 4;
+const SUBS: usize = 1 << SUB_BITS;
+/// Octaves resolved: binary exponents -32..=39, the range
+/// `[2^-32, 2^40)`, which holds second-valued metrics and `u64`
+/// nanoseconds alike. Values outside it land in the edge buckets.
+const OCTAVES: usize = 72;
+/// Biased `f64` exponent of 2^-32, the smallest resolved value.
+const MIN_EXP: u64 = 1023 - 32;
+/// Right shift that keeps an `f64`'s exponent and top mantissa bits.
+const KEY_SHIFT: u32 = 52 - SUB_BITS;
+
+/// The bucket holding `value`: the exponent and top [`SUB_BITS`]
+/// mantissa bits of its bit pattern, clamped to the resolved range.
+fn bucket_of(value: f64) -> usize {
+    if value < f64::from_bits(MIN_EXP << 52) {
+        return 0;
+    }
+    let key = (value.to_bits() >> KEY_SHIFT) - (MIN_EXP << SUB_BITS);
+    (key as usize).min(OCTAVES * SUBS - 1)
+}
+
+/// The smallest value `bucket` holds (0 for the bottom edge bucket,
+/// which also takes everything below the range).
+fn lower_bound(bucket: usize) -> f64 {
+    if bucket == 0 {
+        return 0.0;
+    }
+    f64::from_bits((bucket as u64 + (MIN_EXP << SUB_BITS)) << KEY_SHIFT)
+}
+
+type Octave = [AtomicU64; SUBS];
+
 #[derive(Debug)]
 struct HistogramInner {
-    /// Ascending bucket upper bounds; an implicit overflow bucket
-    /// follows the last bound.
-    bounds: Vec<f64>,
-    /// One slot per bound plus the overflow bucket.
-    buckets: Vec<AtomicU64>,
+    /// One slot per octave; its 16 sub-bucket counters are allocated
+    /// on the octave's first observation, so a histogram costs only
+    /// the octaves its values span.
+    octaves: [OnceLock<Box<Octave>>; OCTAVES],
     count: AtomicU64,
     sum_bits: AtomicU64,
     min_bits: AtomicU64,
     max_bits: AtomicU64,
 }
 
-/// A fixed-bucket histogram of `f64` observations.
+/// A log-linear histogram of `f64` observations, the one quantile type
+/// of the workspace (registry metrics, trace attribution, stage
+/// reports and profiler frames all read it).
+///
+/// Buckets follow the HdrHistogram layout: powers of two split into 16
+/// linear sub-buckets, indexed straight from the `f64` bit pattern over
+/// `[2^-32, 2^40)`. Updates are relaxed atomics, so handles can be
+/// shared across threads without a lock. `count`, `sum`, `min` and
+/// `max` are exact; [`Histogram::merge`] is lossless.
+///
+/// [`Histogram::quantile`] uses nearest rank, `ceil(q·n)` clamped to
+/// `[1, n]`: rank 1 reads the exact minimum, rank `n` the exact
+/// maximum, and any other rank its bucket's lower bound clamped to
+/// `[min, max]`. Readouts are monotone in `q` and, for values inside
+/// the range, at most 2^-4 relative below the exact order statistic.
+///
+/// The monitor's [`crate::WindowedHistogram`] is not a latency summary:
+/// drift's PSI needs its fixed distance bins in a time ring.
 #[derive(Debug, Clone)]
 pub struct Histogram(Arc<HistogramInner>);
 
-impl Histogram {
-    fn with_bounds(bounds: Vec<f64>) -> Self {
-        let buckets = (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect();
+impl Default for Histogram {
+    fn default() -> Self {
         Histogram(Arc::new(HistogramInner {
-            bounds,
-            buckets,
+            octaves: std::array::from_fn(|_| OnceLock::new()),
             count: AtomicU64::new(0),
             sum_bits: AtomicU64::new(0f64.to_bits()),
             min_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             max_bits: AtomicU64::new(f64::NEG_INFINITY.to_bits()),
         }))
     }
+}
 
-    /// The default latency buckets: a 1-2-5 ladder from 100 ns to 50 s,
-    /// in seconds.
-    pub fn default_latency_bounds() -> Vec<f64> {
-        let mut bounds = Vec::new();
-        for exp in -7..=1 {
-            for mantissa in [1.0, 2.0, 5.0] {
-                bounds.push(mantissa * 10f64.powi(exp));
-            }
-        }
-        bounds
+impl Histogram {
+    fn bucket(&self, bucket: usize) -> &AtomicU64 {
+        let octave = self.0.octaves[bucket / SUBS]
+            .get_or_init(|| Box::new(std::array::from_fn(|_| AtomicU64::new(0))));
+        &octave[bucket % SUBS]
+    }
+
+    /// `(bucket, count)` of every allocated bucket, ascending.
+    fn buckets(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        self.0
+            .octaves
+            .iter()
+            .enumerate()
+            .flat_map(|(octave, slot)| {
+                slot.get().into_iter().flat_map(move |subs| {
+                    subs.iter()
+                        .enumerate()
+                        .map(move |(sub, n)| (octave * SUBS + sub, n.load(Ordering::Relaxed)))
+                })
+            })
     }
 
     /// Records one observation (non-finite values are dropped).
     pub fn observe(&self, value: f64) {
-        if !value.is_finite() {
-            return;
+        if value.is_finite() {
+            self.bucket(bucket_of(value))
+                .fetch_add(1, Ordering::Relaxed);
+            self.add_totals(1, value, value, value);
         }
+    }
+
+    /// Adds every observation of `other` into `self`, bucket for bucket
+    /// (lossless: the result equals one histogram fed both streams).
+    pub fn merge(&self, other: &Histogram) {
+        for (bucket, n) in other.buckets().filter(|&(_, n)| n > 0) {
+            self.bucket(bucket).fetch_add(n, Ordering::Relaxed);
+        }
+        let bits = |cell: &AtomicU64| f64::from_bits(cell.load(Ordering::Relaxed));
+        let theirs = &other.0;
+        self.add_totals(
+            other.count(),
+            other.sum(),
+            bits(&theirs.min_bits),
+            bits(&theirs.max_bits),
+        );
+    }
+
+    fn add_totals(&self, count: u64, sum: f64, min: f64, max: f64) {
         let inner = &self.0;
-        let idx = inner
-            .bounds
-            .partition_point(|&bound| bound < value)
-            .min(inner.buckets.len() - 1);
-        inner.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        inner.count.fetch_add(1, Ordering::Relaxed);
-        atomic_f64_update(&inner.sum_bits, value, |acc, v| acc + v);
-        atomic_f64_update(&inner.min_bits, value, f64::min);
-        atomic_f64_update(&inner.max_bits, value, f64::max);
+        inner.count.fetch_add(count, Ordering::Relaxed);
+        atomic_f64_update(&inner.sum_bits, sum, |acc, v| acc + v);
+        atomic_f64_update(&inner.min_bits, min, f64::min);
+        atomic_f64_update(&inner.max_bits, max, f64::max);
+    }
+
+    /// Zeroes every count in place, keeping allocated octaves, so
+    /// handles cached elsewhere stay valid.
+    pub(crate) fn clear(&self) {
+        let inner = &self.0;
+        for octave in inner.octaves.iter().filter_map(OnceLock::get) {
+            for n in octave.iter() {
+                n.store(0, Ordering::Relaxed);
+            }
+        }
+        inner.count.store(0, Ordering::Relaxed);
+        inner.sum_bits.store(0f64.to_bits(), Ordering::Relaxed);
+        inner
+            .min_bits
+            .store(f64::INFINITY.to_bits(), Ordering::Relaxed);
+        inner
+            .max_bits
+            .store(f64::NEG_INFINITY.to_bits(), Ordering::Relaxed);
     }
 
     /// Number of observations.
@@ -171,55 +267,31 @@ impl Histogram {
         }
     }
 
-    /// Bucket upper bounds (the overflow bucket is implicit).
-    pub fn bounds(&self) -> &[f64] {
-        &self.0.bounds
-    }
-
-    /// Per-bucket counts, overflow bucket last.
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.0
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
-    }
-
-    /// The `q`-quantile (`0 ≤ q ≤ 1`) estimated by linear interpolation
-    /// inside the containing bucket, clamped to the observed min/max.
-    /// `NaN` when empty.
+    /// The `q`-quantile (`q` clamped to `[0, 1]`) by nearest rank:
+    /// rank `ceil(q·n)` clamped to `[1, n]`. Ranks 1 and `n` read the
+    /// exact min and max; any other rank reads its bucket's lower
+    /// bound clamped to `[min, max]`, at most 2^-4 relative below the
+    /// exact value. `NaN` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let counts = self.bucket_counts();
-        let total: u64 = counts.iter().sum();
-        if total == 0 {
+        let n = self.count();
+        if n == 0 {
             return f64::NAN;
         }
-        let q = q.clamp(0.0, 1.0);
-        let target = q * total as f64;
-        let mut cumulative = 0u64;
-        for (i, &count) in counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let next = cumulative + count;
-            if (next as f64) >= target {
-                let lower = if i == 0 { 0.0 } else { self.0.bounds[i - 1] };
-                let upper = if i < self.0.bounds.len() {
-                    self.0.bounds[i]
-                } else {
-                    // Overflow bucket: no finite upper bound, so
-                    // interpolate towards the largest observation (which
-                    // may sit below `lower` when every sample landed in
-                    // overflow — keep the span non-negative).
-                    self.max().max(lower)
-                };
-                let into = (target - cumulative as f64) / count as f64;
-                let estimate = lower + into.clamp(0.0, 1.0) * (upper - lower);
-                return estimate.clamp(self.min(), self.max());
-            }
-            cumulative = next;
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as u64).clamp(1, n);
+        let (min, max) = (self.min(), self.max());
+        if rank == 1 {
+            return min;
         }
-        self.max()
+        if rank == n {
+            return max;
+        }
+        let mut seen = 0u64;
+        self.buckets()
+            .find(|&(_, count)| {
+                seen += count;
+                seen >= rank
+            })
+            .map_or(max, |(bucket, _)| lower_bound(bucket).max(min).min(max))
     }
 
     /// Serialises count/sum/mean/min/max and the p50/p90/p99 estimates.
@@ -288,29 +360,12 @@ impl Registry {
             .clone()
     }
 
-    /// The histogram named `name` with the default latency buckets,
-    /// created on first use.
+    /// The histogram named `name`, created on first use.
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histogram_with_bounds(name, Histogram::default_latency_bounds())
-    }
-
-    /// The histogram named `name`; `bounds` (ascending upper bounds)
-    /// apply only on first creation.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `bounds` is empty, non-finite, or not strictly
-    /// ascending.
-    pub fn histogram_with_bounds(&self, name: &str, bounds: Vec<f64>) -> Histogram {
-        assert!(!bounds.is_empty(), "histogram needs at least one bound");
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]) && bounds.iter().all(|b| b.is_finite()),
-            "histogram bounds must be finite and strictly ascending"
-        );
         self.lock()
             .histograms
             .entry(name.to_string())
-            .or_insert_with(|| Histogram::with_bounds(bounds))
+            .or_default()
             .clone()
     }
 
@@ -390,99 +445,133 @@ mod tests {
         assert_eq!(g.get(), 10.0);
     }
 
-    #[test]
-    fn histogram_buckets_observations_correctly() {
-        let reg = Registry::new();
-        let h = reg.histogram_with_bounds("lat", vec![1.0, 2.0, 4.0, 8.0]);
-        for v in [0.5, 1.5, 1.6, 3.0, 9.0] {
+    /// The nonzero `(bucket, count)` pairs, for comparing histograms
+    /// bucket for bucket.
+    fn nonzero_buckets(h: &Histogram) -> Vec<(usize, u64)> {
+        h.buckets().filter(|&(_, n)| n > 0).collect()
+    }
+
+    /// The exact nearest-rank quantile of an ascending-sorted slice: the
+    /// oracle [`Histogram::quantile`] approximates.
+    fn sorted_quantile(sorted: &[f64], q: f64) -> f64 {
+        let n = sorted.len();
+        let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+        sorted[rank - 1]
+    }
+
+    /// Seeded sample sets: integer nanoseconds log-uniform over 1 ns to
+    /// 10^3 s, sub-second `f64` seconds, and hand-picked edge cases.
+    fn sample_sets() -> Vec<Vec<f64>> {
+        use mandipass_util::rand::rngs::StdRng;
+        use mandipass_util::rand::{Rng, SeedableRng};
+        let mut sets = vec![vec![3.5], vec![0.5, 1.5, 3.0, 3.9], vec![7.0; 5]];
+        for seed in 0..8u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            for n in [2usize, 7, 66, 100, 1000] {
+                let nanos = (0..n)
+                    .map(|_| 10f64.powf(rng.gen_range(0.0..12.0)).round())
+                    .collect();
+                let seconds = (0..n)
+                    .map(|_| 10f64.powf(rng.gen_range(-9.0..0.0)))
+                    .collect();
+                sets.push(nanos);
+                sets.push(seconds);
+            }
+        }
+        sets
+    }
+
+    fn histogram_of(values: &[f64]) -> Histogram {
+        let h = Histogram::default();
+        for &v in values {
             h.observe(v);
         }
-        // Bucket upper bounds are inclusive: v ≤ bound.
-        assert_eq!(h.bucket_counts(), vec![1, 2, 1, 0, 1]);
-        assert_eq!(h.count(), 5);
-        assert!((h.sum() - 15.6).abs() < 1e-12);
-        assert_eq!(h.min(), 0.5);
-        assert_eq!(h.max(), 9.0);
-        assert!((h.mean() - 3.12).abs() < 1e-12);
+        h
     }
 
     #[test]
-    fn histogram_boundary_value_lands_in_its_bucket() {
-        let reg = Registry::new();
-        let h = reg.histogram_with_bounds("edge", vec![1.0, 2.0]);
-        h.observe(1.0);
-        h.observe(2.0);
-        assert_eq!(h.bucket_counts(), vec![1, 1, 0]);
-    }
-
-    #[test]
-    fn quantiles_interpolate_within_buckets() {
-        let reg = Registry::new();
-        let h = reg.histogram_with_bounds("q", vec![10.0, 20.0, 30.0]);
-        // 100 observations uniform over (0, 30]: ~p50 near 15.
-        for i in 1..=100 {
-            h.observe(0.3 * f64::from(i));
-        }
-        let p50 = h.quantile(0.5);
-        assert!((13.0..=17.0).contains(&p50), "p50 {p50}");
-        let p90 = h.quantile(0.9);
-        assert!((25.0..=30.0).contains(&p90), "p90 {p90}");
-        // Quantiles are clamped to observations.
-        assert!(h.quantile(0.0) >= h.min());
-        assert_eq!(h.quantile(1.0), h.max());
-    }
-
-    #[test]
-    fn quantile_of_overflow_bucket_interpolates_to_max() {
-        let reg = Registry::new();
-        let h = reg.histogram_with_bounds("of", vec![1.0]);
-        h.observe(100.0);
-        h.observe(250.0);
-        // All mass in the implicit overflow bucket: estimates stay
-        // inside the observed range instead of collapsing to max.
-        assert_eq!(h.quantile(1.0), 250.0);
-        assert_eq!(h.quantile(0.0), 100.0);
-        let mid = h.quantile(0.5);
-        assert!(
-            (100.0..250.0).contains(&mid),
-            "p50 {mid} must interpolate inside [min, max)"
-        );
-        assert!(h.quantile(0.99) < 250.0);
-        assert!(h.quantile(0.99) > h.quantile(0.5));
-    }
-
-    #[test]
-    fn quantile_of_single_observation_is_that_value() {
-        let reg = Registry::new();
-        let h = reg.histogram_with_bounds("single", vec![1.0, 10.0]);
-        h.observe(3.5);
-        for q in [0.0, 0.25, 0.5, 0.99, 1.0] {
-            assert_eq!(h.quantile(q), 3.5, "q={q}");
+    fn histogram_quantiles_match_the_nearest_rank_oracle() {
+        for values in sample_sets() {
+            let h = histogram_of(&values);
+            let mut sorted = values.clone();
+            sorted.sort_by(f64::total_cmp);
+            let n = sorted.len();
+            assert_eq!(h.count(), n as u64);
+            assert_eq!((h.min(), h.max()), (sorted[0], sorted[n - 1]));
+            let exact_sum: f64 = sorted.iter().sum();
+            assert!((h.sum() - exact_sum).abs() <= 1e-9 * exact_sum.abs());
+            let mut previous = f64::NEG_INFINITY;
+            for q in [-3.0, 0.0, 0.5, 0.9, 0.99, 0.999, 1.0, 7.0] {
+                let read = h.quantile(q);
+                let exact = sorted_quantile(&sorted, q);
+                let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
+                if rank == 1 || rank == n {
+                    assert_eq!(read, exact, "rank {rank} of {n} must be exact");
+                } else {
+                    assert!(
+                        read <= exact && exact - read < exact / 16.0,
+                        "q={q}: read {read}, exact {exact}"
+                    );
+                }
+                assert!(read >= previous, "q={q}: {read} < {previous}");
+                previous = read;
+            }
         }
     }
 
     #[test]
-    fn quantile_extremes_clamp_to_observed_range() {
-        let reg = Registry::new();
-        let h = reg.histogram_with_bounds("extremes", vec![1.0, 2.0, 4.0]);
-        for v in [0.5, 1.5, 3.0, 3.9] {
-            h.observe(v);
+    fn histogram_merge_is_lossless_and_order_free() {
+        for values in sample_sets() {
+            let (left, right) = values.split_at(values.len() / 2);
+            let merged = histogram_of(left);
+            merged.merge(&histogram_of(right));
+            let whole = histogram_of(&values);
+            let reversed: Vec<f64> = values.iter().rev().copied().collect();
+            for other in [&whole, &histogram_of(&reversed)] {
+                assert_eq!(nonzero_buckets(&merged), nonzero_buckets(other));
+                assert_eq!(merged.count(), other.count());
+                assert_eq!((merged.min(), merged.max()), (other.min(), other.max()));
+                for q in [0.0, 0.5, 0.9, 0.99, 0.999, 1.0] {
+                    assert_eq!(merged.quantile(q), other.quantile(q), "q={q}");
+                }
+            }
         }
-        assert_eq!(h.quantile(0.0), 0.5);
-        assert_eq!(h.quantile(1.0), 3.9);
-        // Out-of-range q is clamped, not extrapolated.
-        assert_eq!(h.quantile(-3.0), 0.5);
-        assert_eq!(h.quantile(7.0), 3.9);
     }
 
     #[test]
-    fn quantile_of_single_overflow_observation_is_that_value() {
-        let reg = Registry::new();
-        let h = reg.histogram_with_bounds("of1", vec![1.0]);
-        h.observe(42.0);
-        for q in [0.0, 0.5, 1.0] {
-            assert_eq!(h.quantile(q), 42.0, "q={q}");
+    fn histogram_reads_small_integers_exactly() {
+        // `verify.retry_depth` observes 1..=3 attempts.
+        let h = histogram_of(&[1.0, 2.0, 2.0, 3.0, 3.0, 3.0]);
+        assert_eq!(h.quantile(0.5), 2.0);
+        assert_eq!(h.quantile(0.6), 3.0);
+        for v in 1..32u32 {
+            let h = histogram_of(&[0.0, f64::from(v), 1e6]);
+            assert_eq!(h.quantile(0.5), f64::from(v));
         }
+    }
+
+    #[test]
+    fn histogram_edge_buckets_hold_out_of_range_values() {
+        let h = histogram_of(&[0.0, 1e-12, 2.0, 5e12, 9e12]);
+        assert_eq!(h.quantile(0.0), 0.0);
+        assert_eq!(h.quantile(0.4), 0.0);
+        assert_eq!(h.quantile(0.6), 2.0);
+        assert_eq!(h.quantile(1.0), 9e12);
+        assert!(h.quantile(0.8) <= 5e12);
+        assert_eq!(bucket_of(-1.0), 0);
+        assert_eq!(bucket_of(f64::MAX), OCTAVES * SUBS - 1);
+    }
+
+    #[test]
+    fn histogram_clear_zeroes_in_place() {
+        let h = histogram_of(&[1.0, 100.0]);
+        let handle = h.clone();
+        h.clear();
+        assert_eq!(h.count(), 0);
+        assert!(h.quantile(0.5).is_nan());
+        handle.observe(4.0);
+        assert_eq!((h.count(), h.quantile(0.5)), (1, 4.0));
+        assert_eq!(nonzero_buckets(&h), vec![(bucket_of(4.0), 1)]);
     }
 
     #[test]
@@ -504,27 +593,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "ascending")]
-    fn unsorted_bounds_are_rejected() {
-        Registry::new().histogram_with_bounds("bad", vec![2.0, 1.0]);
-    }
-
-    #[test]
     fn snapshot_serialises_all_kinds() {
         let reg = Registry::new();
         reg.counter("c").add(2);
         reg.gauge("g").set(1.5);
-        reg.histogram_with_bounds("h", vec![1.0]).observe(0.5);
+        reg.histogram("h").observe(0.5);
         let json = reg.snapshot_json().to_json();
         assert!(json.contains("\"c\":2"));
         assert!(json.contains("\"g\":1.5"));
         assert!(json.contains("\"count\":1"));
-    }
-
-    #[test]
-    fn default_latency_bounds_are_ascending() {
-        let bounds = Histogram::default_latency_bounds();
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(bounds.len(), 27);
     }
 }

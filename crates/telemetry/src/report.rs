@@ -5,50 +5,32 @@
 use mandipass_util::json::Value;
 
 use crate::clock;
+use crate::metrics::Histogram;
 use crate::span::SpanTree;
 
-/// Aggregate statistics of every span sharing one name.
-#[derive(Debug, Clone, PartialEq)]
-pub struct StageStat {
-    /// Span name (the stage label).
-    pub name: &'static str,
-    /// Number of spans with this name.
-    pub count: u64,
-    /// Sum of durations.
-    pub total: u64,
-    /// Mean duration.
-    pub mean: f64,
-    /// Smallest duration.
-    pub min: u64,
-    /// Largest duration.
-    pub max: u64,
-}
-
-/// Aggregates spans by name, ordered by first appearance in the tree.
-pub fn stage_stats(tree: &SpanTree) -> Vec<StageStat> {
-    let mut stats: Vec<StageStat> = Vec::new();
+/// One [`Histogram`] of durations per span name, ordered by first
+/// appearance in the tree.
+pub fn stage_stats(tree: &SpanTree) -> Vec<(&'static str, Histogram)> {
+    let mut stats = Vec::new();
     for span in tree.spans() {
-        match stats.iter_mut().find(|s| s.name == span.name) {
-            Some(stat) => {
-                stat.count += 1;
-                stat.total += span.duration;
-                stat.min = stat.min.min(span.duration);
-                stat.max = stat.max.max(span.duration);
-            }
-            None => stats.push(StageStat {
-                name: span.name,
-                count: 1,
-                total: span.duration,
-                mean: 0.0,
-                min: span.duration,
-                max: span.duration,
-            }),
-        }
-    }
-    for stat in &mut stats {
-        stat.mean = stat.total as f64 / stat.count as f64;
+        stage_histogram(&mut stats, span.name).observe(span.duration as f64);
     }
     stats
+}
+
+/// The histogram of stage `name` in `stages`, appended on first use.
+pub(crate) fn stage_histogram<'a>(
+    stages: &'a mut Vec<(&'static str, Histogram)>,
+    name: &'static str,
+) -> &'a Histogram {
+    let index = match stages.iter().position(|(stage, _)| *stage == name) {
+        Some(index) => index,
+        None => {
+            stages.push((name, Histogram::default()));
+            stages.len() - 1
+        }
+    };
+    &stages[index].1
 }
 
 /// Renders the span tree plus its per-stage statistics as one JSON
@@ -66,14 +48,14 @@ pub fn latency_report(tree: &SpanTree) -> Value {
     let deterministic = clock::is_deterministic();
     let stages = stage_stats(tree)
         .into_iter()
-        .map(|s| {
+        .map(|(name, h)| {
             Value::Object(vec![
-                ("name".to_string(), Value::String(s.name.to_string())),
-                ("count".to_string(), Value::Number(s.count as f64)),
-                ("total_ns".to_string(), Value::Number(s.total as f64)),
-                ("mean_ns".to_string(), Value::Number(s.mean)),
-                ("min_ns".to_string(), Value::Number(s.min as f64)),
-                ("max_ns".to_string(), Value::Number(s.max as f64)),
+                ("name".to_string(), Value::String(name.to_string())),
+                ("count".to_string(), Value::Number(h.count() as f64)),
+                ("total_ns".to_string(), Value::Number(h.sum())),
+                ("mean_ns".to_string(), Value::Number(h.mean())),
+                ("min_ns".to_string(), Value::Number(h.min())),
+                ("max_ns".to_string(), Value::Number(h.max())),
             ])
         })
         .collect();
@@ -107,13 +89,15 @@ mod tests {
         crate::set_deterministic(false);
         let stats = stage_stats(&tree);
         assert_eq!(stats.len(), 2);
-        assert_eq!(stats[0].name, "verify");
-        assert_eq!(stats[0].count, 4);
-        assert_eq!(stats[1].name, "preprocess");
-        assert_eq!(stats[1].count, 4);
-        assert!(stats[0].mean > stats[1].mean, "parents outlast children");
-        assert!(stats[0].min <= stats[0].max);
-        assert_eq!(stats[0].total, 4 * stats[0].min);
+        let (verify, preprocess) = (&stats[0], &stats[1]);
+        assert_eq!((verify.0, verify.1.count()), ("verify", 4));
+        assert_eq!((preprocess.0, preprocess.1.count()), ("preprocess", 4));
+        assert!(
+            verify.1.mean() > preprocess.1.mean(),
+            "parents outlast children"
+        );
+        assert!(verify.1.min() <= verify.1.max());
+        assert_eq!(verify.1.sum(), 4.0 * verify.1.min());
     }
 
     #[test]

@@ -122,7 +122,7 @@ fn concurrent_worker_merge_is_lossless() {
                 snapshot
                     .frames()
                     .get(&format!("worker{i}.{name}"))
-                    .map(|s| s.count)
+                    .map(|s| s.count())
                     .unwrap_or(0)
             })
             .sum();
@@ -140,10 +140,11 @@ fn concurrent_worker_merge_is_lossless() {
         let reconstructed: u64 = frames
             .iter()
             .filter(|(p, _)| p.starts_with(&format!("worker{i}.verify")))
-            .map(|(_, s)| s.self_nanos)
+            .map(|(_, s)| s.self_nanos())
             .sum();
         assert_eq!(
-            reconstructed, root.total_nanos,
+            reconstructed,
+            root.total_nanos(),
             "worker{i} subtree self times do not sum to the root total"
         );
     }
@@ -164,7 +165,7 @@ fn top_self_ranking_matches_folded_values() {
     assert!(!top.is_empty());
     // Descending by self time.
     for pair in top.windows(2) {
-        assert!(pair[0].1.self_nanos >= pair[1].1.self_nanos);
+        assert!(pair[0].1.self_nanos() >= pair[1].1.self_nanos());
     }
     // Every folded line's value is that frame's self time.
     for line in snapshot.folded().lines() {
@@ -172,7 +173,7 @@ fn top_self_ranking_matches_folded_values() {
             .rsplit_once(' ')
             .unwrap_or_else(|| panic!("malformed folded line {line}"));
         let path = stack.replace(';', ".");
-        let expect = snapshot.frames()[&path].self_nanos;
+        let expect = snapshot.frames()[&path].self_nanos();
         assert_eq!(
             value,
             expect.to_string(),

@@ -114,9 +114,12 @@ fn enabled_profiler_reaches_steady_state_without_allocating() {
         0,
         "profiling a known frame set allocated in the steady state"
     );
-    assert_eq!(snapshot.frames()["overhead_worker.warm_outer"].count, 1_016);
     assert_eq!(
-        snapshot.frames()["overhead_worker.warm_outer.warm_inner"].count,
+        snapshot.frames()["overhead_worker.warm_outer"].count(),
+        1_016
+    );
+    assert_eq!(
+        snapshot.frames()["overhead_worker.warm_outer.warm_inner"].count(),
         1_016
     );
 }
