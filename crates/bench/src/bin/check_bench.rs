@@ -17,9 +17,9 @@
 //! frames.
 //!
 //! `attribute` diffs the embedded profile summaries directly and names
-//! the `top_k` (default 5) frames whose per-call self time grew the
-//! most — the "which stage regressed" answer a p99 ratio alone cannot
-//! give. Exit status 0 = pass, 1 = fail, 2 = usage error.
+//! the `top_k` (default 5) frames whose per-call self-time growth added
+//! the most self time — the "which stage regressed" answer a p99 ratio
+//! alone cannot give. Exit status 0 = pass, 1 = fail, 2 = usage error.
 
 use std::process::ExitCode;
 

@@ -5,9 +5,9 @@
 //! shape: `{"unit", "frames": {path: {count, total_nanos, self_nanos,
 //! p50_nanos, p99_nanos}}}`) under a top-level `"profile"` key in their
 //! BENCH documents. [`attribute_profiles`] diffs two such summaries and
-//! ranks frames by per-call self-time growth, so when `check_bench
-//! compare` fails the report names *which frame* regressed instead of
-//! just that p99 moved.
+//! ranks frames by the self time their per-call growth added, so when
+//! `check_bench compare` fails the report names *which frame* regressed
+//! instead of just that p99 moved.
 
 use std::collections::BTreeMap;
 
@@ -28,6 +28,15 @@ pub struct FrameRegression {
     pub ratio: f64,
     /// Fresh call count, for weighting the report.
     pub fresh_calls: f64,
+}
+
+impl FrameRegression {
+    /// Self nanoseconds the growth added over the fresh calls:
+    /// `fresh_calls × (fresh − baseline)` per call, or all of a new
+    /// frame's self time.
+    fn excess_nanos(&self) -> f64 {
+        self.fresh_calls * (self.fresh_self_per_call - self.base_self_per_call.unwrap_or(0.0))
+    }
 }
 
 /// Reads the `"profile"."frames"` object out of a bench document.
@@ -75,12 +84,14 @@ fn fold_workers(frames: &[(String, Value)]) -> BTreeMap<&str, (f64, f64)> {
 }
 
 /// Diffs the embedded profile summaries of two bench documents and
-/// returns the top `k` frames by per-call self-time growth, worst
-/// first. Frames that differ only by a `workerN.` root are summed
-/// first, so a frame served by another worker is not a new one. Frames
-/// absent from the baseline rank highest (infinite ratio); frames that
-/// got *faster* are excluded. Ties break by path, so the ranking is
-/// deterministic.
+/// returns the top `k` frames whose per-call self time grew, worst
+/// first. Frames rank by excess self time, `fresh_calls × (fresh −
+/// baseline)` per call, with a frame absent from the baseline counting
+/// all of its self time (its ratio reads infinite), so a busy frame's
+/// small per-call growth outranks a rare frame's noisy spike. Frames
+/// that differ only by a `workerN.` root are summed first, so a frame
+/// served by another worker is not a new one. Frames that got *faster*
+/// are excluded. Ties break by path, so the ranking is deterministic.
 ///
 /// # Errors
 ///
@@ -124,8 +135,8 @@ pub fn attribute_profiles(
         })
         .collect();
     regressions.sort_by(|a, b| {
-        b.ratio
-            .partial_cmp(&a.ratio)
+        b.excess_nanos()
+            .partial_cmp(&a.excess_nanos())
             .unwrap_or(std::cmp::Ordering::Equal)
             .then_with(|| a.path.cmp(&b.path))
     });
@@ -139,8 +150,9 @@ pub fn render_attribution(regressions: &[FrameRegression]) -> String {
     if regressions.is_empty() {
         return "attribution: no frame regressed (per-call self time)".to_string();
     }
-    let mut out =
-        String::from("attribution: top regressed frames (self ns/call, fresh vs baseline)\n");
+    let mut out = String::from(
+        "attribution: top regressed frames by excess self time (self ns/call, fresh vs baseline)\n",
+    );
     for (rank, r) in regressions.iter().enumerate() {
         let base = r
             .base_self_per_call
@@ -205,6 +217,26 @@ mod tests {
         let report = render_attribution(&top);
         assert!(report.contains("1. verify.extract.im2col"), "{report}");
         assert!(report.contains("8.00x"), "{report}");
+    }
+
+    #[test]
+    fn a_busy_frame_outranks_a_rare_spike() {
+        // A 10-call frame at 15x adds 288 us; a 10k-call frame at 1.3x
+        // adds 3 ms.
+        let baseline = doc(&[
+            ("verify.extract.cnn_forward", 10.0, 20_000.0),
+            ("verify.preprocess", 10_000.0, 10_000_000.0),
+        ]);
+        let fresh = doc(&[
+            ("verify.extract.cnn_forward", 10.0, 308_000.0),
+            ("verify.preprocess", 10_000.0, 13_000_000.0),
+        ]);
+        let top = attribute_profiles(&fresh, &baseline, 5).unwrap_or_else(|e| panic!("{e}"));
+        let paths: Vec<&str> = top.iter().map(|r| r.path.as_str()).collect();
+        assert_eq!(paths, ["verify.preprocess", "verify.extract.cnn_forward"]);
+        let report = render_attribution(&top);
+        assert!(report.contains("1. verify.preprocess"), "{report}");
+        assert!(report.contains("(15.40x, 10 calls)"), "{report}");
     }
 
     #[test]

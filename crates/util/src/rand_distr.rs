@@ -25,6 +25,12 @@ impl std::error::Error for DistributionError {}
 
 /// The normal (Gaussian) distribution `N(mean, std_dev²)`, sampled with
 /// the Box–Muller transform.
+///
+/// Every sample consumes exactly two [`Rng::next_u64`] words, whatever
+/// the parameters or the words drawn. Callers rely on this: a banded
+/// template transform skips `c` samples by stepping the generator
+/// `2·c` words, so a sampler that consumes a variable number of words
+/// (a ziggurat, say) must not replace this one unnoticed.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Normal {
     mean: f64,
@@ -116,7 +122,7 @@ impl Distribution<f64> for Uniform {
 mod tests {
     use super::*;
     use crate::rand::rngs::StdRng;
-    use crate::rand::SeedableRng;
+    use crate::rand::{Rng, SeedableRng};
 
     #[test]
     fn normal_moments_match_parameters() {
@@ -164,6 +170,24 @@ mod tests {
     #[should_panic(expected = "uniform requires low < high")]
     fn empty_uniform_panics() {
         let _ = Uniform::new(1.0, 1.0);
+    }
+
+    #[test]
+    fn normal_consumes_exactly_two_words_per_sample() {
+        for (seed, std_dev) in [(4u64, 1.0), (5, 0.0), (6, 1e-3)] {
+            let d = Normal::new(0.5, std_dev).unwrap();
+            let mut sampled = StdRng::seed_from_u64(seed);
+            let mut stepped = sampled.clone();
+            for n in [1usize, 2, 10, 1000] {
+                for _ in 0..n {
+                    d.sample(&mut sampled);
+                }
+                for _ in 0..2 * n {
+                    stepped.next_u64();
+                }
+                assert_eq!(sampled, stepped, "seed {seed} after {n} more samples");
+            }
+        }
     }
 
     #[test]

@@ -227,3 +227,68 @@ fn concurrent_memo_hits_and_misses_match_serial_bit_for_bit() {
         "enrolled matrices missed"
     );
 }
+
+/// Streamed draws past the memo's size split into column bands on the
+/// cores no other draw holds. THREADS barrier-started workers transform
+/// under matrices they share and matrices of their own, in batches and
+/// one print at a time, so draws meet a free pool, a full one and
+/// everything between. Every template must equal a serial pass bit for
+/// bit, and every claimed core must be given back.
+#[test]
+fn concurrent_streamed_transforms_match_serial_bit_for_bit() {
+    const DIM: usize = 257;
+    const ROUNDS: usize = 3;
+    let print = |seed: usize| {
+        MandiblePrint::new(
+            (0..DIM)
+                .map(|i| ((i * 7919 + seed * 104_729) % 1000) as f32 / 1000.0)
+                .collect(),
+        )
+    };
+    let prints: Vec<MandiblePrint> = (0..4).map(print).collect();
+    let refs: Vec<&MandiblePrint> = prints.iter().collect();
+    // Worker `t`, round `r`: a matrix every worker shares, then one of
+    // its own.
+    let jobs = |t: usize| {
+        (0..ROUNDS).flat_map(move |r| {
+            [
+                GaussianMatrix::generate(500 + r as u64, DIM),
+                GaussianMatrix::generate(600 + (t * ROUNDS + r) as u64, DIM),
+            ]
+        })
+    };
+    let run = |t: usize| -> Vec<Vec<u32>> {
+        jobs(t)
+            .flat_map(|matrix| {
+                let batch = matrix.transform_all(&refs).expect("batch transform");
+                let single = matrix
+                    .transform(&prints[t % prints.len()])
+                    .expect("transform");
+                batch.into_iter().chain([single])
+            })
+            .map(|template| template.as_slice().iter().map(|v| v.to_bits()).collect())
+            .collect()
+    };
+
+    let serial: Vec<Vec<Vec<u32>>> = (0..THREADS).map(run).collect();
+    let start = std::sync::Barrier::new(THREADS);
+    let concurrent: Vec<Vec<Vec<u32>>> = std::thread::scope(|scope| {
+        let workers: Vec<_> = (0..THREADS)
+            .map(|t| {
+                let (run, start) = (&run, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    run(t)
+                })
+            })
+            .collect();
+        workers
+            .into_iter()
+            .map(|w| w.join().expect("transform thread"))
+            .collect()
+    });
+    assert_eq!(concurrent, serial, "a banded draw moved a template bit");
+    // No other test in this binary streams a matrix past the memo.
+    let held = mandipass_telemetry::metrics().gauge("template.stream.cores");
+    assert_eq!(held.get(), 0.0, "claimed cores were not given back");
+}
