@@ -6,8 +6,8 @@
 //! console rendering, or `--telemetry-report` to train the stack and
 //! dump the per-stage latency breakdown JSON instead of the tables.
 //!
-//! Progress narration goes through the telemetry sink (text on stderr
-//! by default here; `MANDIPASS_TELEMETRY=off|json` overrides).
+//! Progress narration goes through `telemetry::event` (on by default
+//! here; `MANDIPASS_TELEMETRY=off` silences it).
 
 use mandipass_bench::{experiments, gate, EvalScale, TrainedStack};
 use mandipass_eval::ReportTable;
@@ -170,16 +170,13 @@ fn main() {
 }
 
 /// Runs `bench` as its own binary runs it by default: span profiler
-/// off and telemetry silent, so the BENCH document it writes can be
-/// compared with the committed baseline (the profiler's frame table and
-/// the text sink's per-span events otherwise slow the timed paths).
-/// Both settings are restored afterwards.
+/// off, so the BENCH document it writes can be compared with the
+/// committed baseline (the profiler's frame table otherwise slows the
+/// timed paths). The profiler setting is restored afterwards.
 fn as_standalone<T>(bench: impl FnOnce() -> T) -> T {
-    let (was_profiling, was_mode) = (telemetry::profile::enabled(), telemetry::mode());
+    let was_profiling = telemetry::profile::enabled();
     telemetry::profile::set_enabled(false);
-    telemetry::set_mode(telemetry::Mode::Silent);
     let out = bench();
-    telemetry::set_mode(was_mode);
     telemetry::profile::set_enabled(was_profiling);
     out
 }

@@ -1779,10 +1779,9 @@ pub fn exp_monitor(
     const RAMP_TRIALS: usize = 2;
     const RAMP: [f64; 3] = [0.5, 0.75, 1.0];
 
-    let monitor_config = mandipass_telemetry::MonitorConfig::default();
-    let min_decisions = monitor_config.drift.min_decisions as usize;
+    let min_decisions = mandipass_telemetry::drift::MIN_DECISIONS as usize;
     let monitor: &'static mandipass_telemetry::Monitor =
-        Box::leak(Box::new(mandipass_telemetry::Monitor::new(monitor_config)));
+        Box::leak(Box::new(mandipass_telemetry::Monitor::default()));
     let users: Vec<UserProfile> = stack
         .held_out_users()
         .iter()
@@ -1790,7 +1789,7 @@ pub fn exp_monitor(
         .cloned()
         .collect();
     // The clean phase must fill the detector's window: with fewer
-    // decisions than `min_decisions` it reads Healthy without judging.
+    // decisions than `MIN_DECISIONS` it reads Healthy without judging.
     let clean_probes = CLEAN_PROBES.max(min_decisions.div_ceil(users.len().max(1)));
     let recorder = stack.recorder.clone();
     let config = PipelineConfig {

@@ -303,7 +303,7 @@ impl MandiPass {
         };
         let print = self.extract_print(probe)?;
         let cancelable = self.memo.transform(matrix, &print)?;
-        let outcome = self.decide(&template, &cancelable);
+        let outcome = decide(&template, &cancelable, self.config.threshold);
         self.finish_verify(user_id, outcome);
         Ok(outcome)
     }
@@ -325,7 +325,7 @@ impl MandiPass {
             let _span = mandipass_telemetry::span("enclave_load");
             self.enclave.load(user_id)?
         };
-        let outcome = self.decide(&template, presented);
+        let outcome = decide(&template, presented, self.config.threshold);
         self.finish_verify(user_id, outcome);
         Ok(outcome)
     }
@@ -472,12 +472,7 @@ impl MandiPass {
         let config = self.degraded_config(policy.degraded_threshold_scale);
         let print = self.extract_print_with_config(probe, &config)?;
         let cancelable = self.memo.transform(matrix, &print)?;
-        let distance = cosine_distance(template.as_slice(), cancelable.as_slice());
-        let outcome = VerifyOutcome {
-            accepted: accepts(distance, config.threshold),
-            distance,
-            threshold: config.threshold,
-        };
+        let outcome = decide(&template, &cancelable, config.threshold);
         self.enclave
             .record_degraded_verify(user_id, outcome.accepted, outcome.distance);
         self.monitor
@@ -524,16 +519,6 @@ impl MandiPass {
         old
     }
 
-    fn decide(&self, template: &CancelableTemplate, probe: &CancelableTemplate) -> VerifyOutcome {
-        let _span = mandipass_telemetry::span("similarity");
-        let distance = cosine_distance(template.as_slice(), probe.as_slice());
-        VerifyOutcome {
-            accepted: accepts(distance, self.config.threshold),
-            distance,
-            threshold: self.config.threshold,
-        }
-    }
-
     /// Common verify epilogue: audit-trail entry + accept/reject
     /// counters + monitor decision window (and a flight record when the
     /// probe was rejected).
@@ -551,6 +536,22 @@ impl MandiPass {
             flight.threshold = Some(outcome.threshold);
             self.monitor.record_flight(flight, None);
         }
+    }
+}
+
+/// The one accept/reject rule, timed as the `similarity` stage: the
+/// cosine distance between `template` and `probe` against `threshold`.
+fn decide(
+    template: &CancelableTemplate,
+    probe: &CancelableTemplate,
+    threshold: f64,
+) -> VerifyOutcome {
+    let _span = mandipass_telemetry::span("similarity");
+    let distance = cosine_distance(template.as_slice(), probe.as_slice());
+    VerifyOutcome {
+        accepted: accepts(distance, threshold),
+        distance,
+        threshold,
     }
 }
 

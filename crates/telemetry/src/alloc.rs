@@ -32,17 +32,18 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use mandipass_util::json::Value;
 
-/// Environment variable that switches span-path attribution on
-/// (`1`/`on`/`true`).
+use crate::switch::Switch;
+
+/// Environment variable that switches span-path attribution on (`1`,
+/// `on`, `true` or `yes`, trimmed and in any case; anything else is off).
 pub const PROFILE_ALLOC_ENV: &str = "MANDIPASS_PROFILE_ALLOC";
 
-/// 0 = uninitialised, 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
+pub(crate) static ENABLED: Switch = Switch::new(PROFILE_ALLOC_ENV);
 
 /// Raw allocator totals, counted whenever [`ProfilingAlloc`] is
 /// installed (attribution on or off).
@@ -55,27 +56,15 @@ thread_local! {
     static IN_HOOK: Cell<bool> = const { Cell::new(false) };
 }
 
-fn init_from_env() -> u8 {
-    let on = std::env::var(PROFILE_ALLOC_ENV)
-        .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "on" | "true"))
-        .unwrap_or(false);
-    let byte = if on { 2 } else { 1 };
-    let _ = ENABLED.compare_exchange(0, byte, Ordering::Relaxed, Ordering::Relaxed);
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// Whether span-path attribution is recording.
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => init_from_env() == 2,
-        b => b == 2,
-    }
+    ENABLED.get()
 }
 
 /// Switches attribution on or off programmatically, overriding the
 /// environment.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    ENABLED.set(on);
 }
 
 /// Per-site (per span path) allocation statistics.

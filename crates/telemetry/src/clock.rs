@@ -7,12 +7,12 @@
 //! same-seed runs produce bit-identical trees, which is what lets
 //! `tests/determinism.rs` assert on telemetry output.
 
-use std::sync::atomic::{AtomicU8, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
-/// 0 = uninitialised (read env), 1 = wall clock, 2 = deterministic.
-static DETERMINISTIC: AtomicU8 = AtomicU8::new(0);
+use crate::switch::Switch;
+
+pub(crate) static DETERMINISTIC: Switch = Switch::new("MANDIPASS_TELEMETRY_DETERMINISTIC");
 
 fn anchor() -> Instant {
     static ANCHOR: OnceLock<Instant> = OnceLock::new();
@@ -26,29 +26,12 @@ thread_local! {
 /// Selects the time source: `true` for the logical clock, `false` for
 /// the wall clock. Overrides `MANDIPASS_TELEMETRY_DETERMINISTIC`.
 pub fn set_deterministic(deterministic: bool) {
-    DETERMINISTIC.store(if deterministic { 2 } else { 1 }, Ordering::Relaxed);
+    DETERMINISTIC.set(deterministic);
 }
 
 /// Whether timestamps come from the logical clock.
 pub fn is_deterministic() -> bool {
-    match DETERMINISTIC.load(Ordering::Relaxed) {
-        0 => {
-            let from_env = matches!(
-                std::env::var("MANDIPASS_TELEMETRY_DETERMINISTIC").as_deref(),
-                Ok("1") | Ok("true") | Ok("yes")
-            );
-            // First initialiser wins; racing threads read the same env.
-            let _ = DETERMINISTIC.compare_exchange(
-                0,
-                if from_env { 2 } else { 1 },
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            );
-            from_env
-        }
-        2 => true,
-        _ => false,
-    }
+    DETERMINISTIC.get()
 }
 
 /// Reads the current timestamp: wall nanoseconds, or the next logical

@@ -166,7 +166,7 @@ impl SignalReading {
 /// The detector's folded verdict plus its per-signal evidence.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HealthReport {
-    /// Worst signal status (Healthy when below `min_decisions`).
+    /// Worst signal status (Healthy when below [`MIN_DECISIONS`]).
     pub status: HealthStatus,
     /// One reading per monitored signal.
     pub signals: Vec<SignalReading>,
@@ -208,49 +208,33 @@ impl HealthReport {
     }
 }
 
-/// Thresholds and window geometry for [`DriftDetector`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct DriftConfig {
-    /// Window length in seconds.
-    pub window_secs: u64,
-    /// Number of ring slots in each window.
-    pub slots: usize,
-    /// Minimum windowed attempts before any signal may leave `Healthy`.
-    pub min_decisions: u64,
-    /// PSI warning threshold (moderate distribution shift).
-    pub psi_warn: f64,
-    /// PSI alarm threshold (major distribution shift).
-    pub psi_alarm: f64,
-    /// Reject-rate warning threshold.
-    pub reject_warn: f64,
-    /// Reject-rate alarm threshold.
-    pub reject_alarm: f64,
-    /// Degraded-mode ratio warning threshold.
-    pub degraded_warn: f64,
-    /// Degraded-mode ratio alarm threshold.
-    pub degraded_alarm: f64,
-    /// FRR-proxy warning threshold.
-    pub frr_warn: f64,
-    /// FRR-proxy alarm threshold.
-    pub frr_alarm: f64,
-}
+/// Window length in seconds.
+const WINDOW_SECS: u64 = 60;
+/// Number of ring slots in each window.
+const SLOTS: usize = 12;
+/// Minimum windowed attempts before any signal may leave `Healthy`.
+pub const MIN_DECISIONS: u64 = 8;
+/// PSI warning threshold (moderate distribution shift).
+const PSI_WARN: f64 = 0.5;
+/// PSI alarm threshold (major distribution shift).
+const PSI_ALARM: f64 = 2.0;
+/// Reject-rate warning threshold.
+const REJECT_WARN: f64 = 0.25;
+/// Reject-rate alarm threshold.
+const REJECT_ALARM: f64 = 0.6;
+/// Degraded-mode ratio warning threshold.
+const DEGRADED_WARN: f64 = 0.25;
+/// Degraded-mode ratio alarm threshold.
+const DEGRADED_ALARM: f64 = 0.6;
+/// FRR-proxy warning threshold.
+const FRR_WARN: f64 = 0.25;
+/// FRR-proxy alarm threshold.
+const FRR_ALARM: f64 = 0.6;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            window_secs: 60,
-            slots: 12,
-            min_decisions: 8,
-            psi_warn: 0.5,
-            psi_alarm: 2.0,
-            reject_warn: 0.25,
-            reject_alarm: 0.6,
-            degraded_warn: 0.25,
-            degraded_alarm: 0.6,
-            frr_warn: 0.25,
-            frr_alarm: 0.6,
-        }
-    }
+/// A counter over the detector's window geometry; the monitor keys its
+/// per-label counters on the same window.
+pub(crate) fn windowed_counter() -> WindowedCounter {
+    WindowedCounter::new(WINDOW_SECS, SLOTS)
 }
 
 /// Bucket upper bounds shared by the baseline and the live distance
@@ -295,7 +279,6 @@ fn gaussian_pmf(mean: f64, std: f64, bounds: &[f64]) -> Vec<f64> {
 /// [`crate::monitor::Monitor`] wrapper supplies [`crate::clock::now`].
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
-    config: DriftConfig,
     /// Frozen baseline pmf over [`distance_bounds`].
     baseline: Vec<f64>,
     /// Enrolment-time distances accumulated before [`Self::freeze_baseline`].
@@ -308,30 +291,27 @@ pub struct DriftDetector {
     degraded: WindowedCounter,
 }
 
+impl Default for DriftDetector {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl DriftDetector {
     /// A detector with the paper-operating-point baseline (genuine
     /// distances ≈ N(0.4884, 0.09²)).
-    pub fn new(config: DriftConfig) -> Self {
+    pub fn new() -> Self {
         let bounds = distance_bounds();
         let baseline = gaussian_pmf(0.4884, 0.09, &bounds);
-        let distances = WindowedHistogram::new(config.window_secs, config.slots, bounds);
-        let (window_secs, slots) = (config.window_secs, config.slots);
-        let counter = || WindowedCounter::new(window_secs, slots);
         DriftDetector {
-            config,
             baseline,
             pending_baseline: Vec::new(),
-            distances,
-            accepts: counter(),
-            rejects: counter(),
-            quality_rejects: counter(),
-            degraded: counter(),
+            distances: WindowedHistogram::new(WINDOW_SECS, SLOTS, bounds),
+            accepts: windowed_counter(),
+            rejects: windowed_counter(),
+            quality_rejects: windowed_counter(),
+            degraded: windowed_counter(),
         }
-    }
-
-    /// The detector's configuration.
-    pub fn config(&self) -> &DriftConfig {
-        &self.config
     }
 
     /// The frozen baseline pmf over [`distance_bounds`] (overflow last).
@@ -408,7 +388,7 @@ impl DriftDetector {
         let decisions = self.accepts.total_at(now_ns) + self.rejects.total_at(now_ns);
         let quality = self.quality_rejects.total_at(now_ns);
         let attempts = decisions + quality;
-        let sufficient = attempts >= self.config.min_decisions;
+        let sufficient = attempts >= MIN_DECISIONS;
         let ratio = |num: u64, den: u64| {
             if den == 0 {
                 0.0
@@ -416,7 +396,6 @@ impl DriftDetector {
                 num as f64 / den as f64
             }
         };
-        let cfg = &self.config;
         let mut signals = vec![
             SignalReading::judge(
                 HealthSignal::DistanceDrift,
@@ -425,26 +404,26 @@ impl DriftDetector {
                 } else {
                     self.psi_at(now_ns)
                 },
-                cfg.psi_warn,
-                cfg.psi_alarm,
+                PSI_WARN,
+                PSI_ALARM,
             ),
             SignalReading::judge(
                 HealthSignal::RejectRateSpike,
                 ratio(self.rejects.total_at(now_ns) + quality, attempts),
-                cfg.reject_warn,
-                cfg.reject_alarm,
+                REJECT_WARN,
+                REJECT_ALARM,
             ),
             SignalReading::judge(
                 HealthSignal::DegradedRatio,
                 ratio(self.degraded.total_at(now_ns), decisions),
-                cfg.degraded_warn,
-                cfg.degraded_alarm,
+                DEGRADED_WARN,
+                DEGRADED_ALARM,
             ),
             SignalReading::judge(
                 HealthSignal::FrrProxy,
                 ratio(self.rejects.total_at(now_ns), decisions),
-                cfg.frr_warn,
-                cfg.frr_alarm,
+                FRR_WARN,
+                FRR_ALARM,
             ),
         ];
         if !sufficient {
@@ -529,7 +508,7 @@ mod tests {
 
     #[test]
     fn detector_is_healthy_on_baseline_like_traffic() {
-        let mut d = DriftDetector::new(DriftConfig::default());
+        let mut d = DriftDetector::new();
         // Baseline frozen from enrolment-time distances; live traffic
         // follows the same distribution, all accepted.
         let calib: Vec<f64> = (0..24).map(|i| 0.40 + 0.01 * (i % 10) as f64).collect();
@@ -543,12 +522,12 @@ mod tests {
         assert_eq!(report.status, HealthStatus::Healthy);
         assert!(report.sufficient);
         assert!(report.reasons().is_empty());
-        assert!(d.psi_at(41) < d.config().psi_warn, "psi {}", d.psi_at(41));
+        assert!(d.psi_at(41) < PSI_WARN, "psi {}", d.psi_at(41));
     }
 
     #[test]
     fn detector_flags_distance_drift() {
-        let mut d = DriftDetector::new(DriftConfig::default());
+        let mut d = DriftDetector::new();
         // The whole distribution walks up to the impostor mean: a drift
         // the threshold-side counters alone would miss until FRR spikes.
         for i in 0..40u64 {
@@ -565,7 +544,7 @@ mod tests {
 
     #[test]
     fn detector_flags_reject_spike_and_frr() {
-        let mut d = DriftDetector::new(DriftConfig::default());
+        let mut d = DriftDetector::new();
         for i in 0..20u64 {
             d.observe_decision_at(i + 1, 0.49, i % 4 == 0, false);
             d.observe_quality_reject_at(i + 1);
@@ -579,7 +558,7 @@ mod tests {
 
     #[test]
     fn detector_flags_degraded_ratio() {
-        let mut d = DriftDetector::new(DriftConfig::default());
+        let mut d = DriftDetector::new();
         for i in 0..16u64 {
             d.observe_decision_at(i + 1, 0.48, true, i % 2 == 0);
         }
@@ -592,7 +571,7 @@ mod tests {
 
     #[test]
     fn thin_traffic_never_alarms() {
-        let mut d = DriftDetector::new(DriftConfig::default());
+        let mut d = DriftDetector::new();
         d.observe_decision_at(1, 1.5, false, true);
         d.observe_quality_reject_at(2);
         let report = d.health_at(3);
@@ -602,7 +581,7 @@ mod tests {
 
     #[test]
     fn frozen_baseline_replaces_paper_default() {
-        let mut d = DriftDetector::new(DriftConfig::default());
+        let mut d = DriftDetector::new();
         let default_baseline = d.baseline().to_vec();
         d.extend_baseline(&[0.2, 0.21, 0.22, 0.19, f64::NAN]);
         d.freeze_baseline();
@@ -622,7 +601,7 @@ mod tests {
 
     #[test]
     fn clear_windows_keeps_baseline() {
-        let mut d = DriftDetector::new(DriftConfig::default());
+        let mut d = DriftDetector::new();
         d.extend_baseline(&[0.3; 10]);
         d.freeze_baseline();
         let baseline = d.baseline().to_vec();
@@ -637,7 +616,7 @@ mod tests {
 
     #[test]
     fn report_serialises_with_signal_labels() {
-        let d = DriftDetector::new(DriftConfig::default());
+        let d = DriftDetector::new();
         let json = d.health_at(1).to_json().to_json();
         assert!(json.contains("\"status\":\"healthy\""));
         for label in [

@@ -9,17 +9,23 @@
 //! * [`span()`] / [`SpanGuard`] — structured spans with nested scopes and
 //!   monotonic timing. Opening a span pushes onto a thread-local stack;
 //!   the RAII guard closes it on drop (including during unwinding), so
-//!   instrumented code never leaks scope state.
+//!   instrumented code never leaks scope state. Spans have two
+//!   consumers, [`capture`] and the CPU profiler ([`profile`]); with
+//!   neither active, span creation early-outs on two relaxed atomic
+//!   loads, so instrumentation costs ~nothing. There is no per-span
+//!   stream: read spans per frame at `/profile/cpu`, per request at
+//!   `/traces`, and per closure through [`capture`].
 //! * [`metrics`](mod@metrics) — a global registry of atomic counters, gauges, and
 //!   log-linear [`Histogram`]s, the one quantile type the registry,
 //!   trace attribution, stage reports and profiler share. The [`counter!`],
 //!   [`gauge!`] and [`histogram!`] macros cache their handle in a
 //!   call-site `static`, so a hot-path increment is one atomic add.
-//! * [`sink`] — a pluggable output API. The default sink is silent and
-//!   span creation early-outs on two relaxed atomic loads, so
-//!   instrumentation costs ~nothing when disabled. `MANDIPASS_TELEMETRY`
-//!   (`off`/`text`/`json`) or [`Builder`] select the stderr text sink or
-//!   the JSON-lines sink (serialised via `mandipass_util::json`).
+//! * [`event`] — one-line `[telemetry]` narration on stderr while
+//!   `MANDIPASS_TELEMETRY=1` (or [`set_mode`]) has it on.
+//! * **One switch rule** — `MANDIPASS_TELEMETRY`, `MANDIPASS_PROFILE`,
+//!   `MANDIPASS_PROFILE_ALLOC` and `MANDIPASS_TELEMETRY_DETERMINISTIC`
+//!   all read on for the trimmed, case-insensitive values `1`, `on`,
+//!   `true` and `yes`, and off for anything else.
 //! * **Deterministic mode** — with [`set_deterministic`] (or
 //!   `MANDIPASS_TELEMETRY_DETERMINISTIC=1`) timestamps come from a
 //!   per-thread logical clock instead of the wall clock, so the span
@@ -76,21 +82,20 @@ pub mod mode;
 pub mod monitor;
 pub mod profile;
 pub mod report;
-pub mod sink;
 pub mod span;
+mod switch;
 pub mod trace;
 pub mod window;
 
 pub use alloc::{AllocProfile, AllocStats, ProfilingAlloc, PROFILE_ALLOC_ENV};
 pub use clock::set_deterministic;
-pub use drift::{DriftConfig, DriftDetector, HealthReport, HealthSignal, HealthStatus};
+pub use drift::{DriftDetector, HealthReport, HealthSignal, HealthStatus};
 pub use expose::{render_prometheus, serve_from_env, MonitorServer, MONITOR_ADDR_ENV};
 pub use flight::{FlightOutcome, VerifyFlight};
 pub use metrics::{global as metrics, Counter, Gauge, Histogram, Registry};
-pub use mode::{enabled, install_sink, mode, set_default_mode, set_mode, Builder, Mode};
+pub use mode::{enabled, mode, set_default_mode, set_mode, Mode};
 pub use monitor::{global as monitor, Monitor, MonitorConfig};
 pub use profile::{CpuProfile, FrameStats, PROFILE_ENV};
-pub use sink::{JsonSink, Sink, TextSink};
 pub use span::{capture, span, try_capture, SpanGuard, SpanRecord, SpanTree};
 pub use trace::{
     attribution_report, format_trace_id, mint_id, parse_trace_id, FlightRecord, RequestTrace,
@@ -98,12 +103,12 @@ pub use trace::{
 };
 pub use window::{WindowedCounter, WindowedHistogram};
 
-/// Emits a one-line narration event to the active sink (silent sink:
-/// nothing). Replaces ad-hoc `eprintln!` progress lines so all operator
-/// output flows through one code path.
+/// Writes `[telemetry] <message>` to stderr while narration is on
+/// (see [`Mode`]); silent otherwise. Replaces ad-hoc `eprintln!`
+/// progress lines so all operator output flows through one code path.
 pub fn event(message: &str) {
-    if let Some(sink) = mode::active_sink() {
-        sink.event(message);
+    if enabled() {
+        eprintln!("[telemetry] {message}");
     }
 }
 
@@ -170,7 +175,7 @@ mod tests {
 
     #[test]
     fn event_is_silent_by_default() {
-        // Must not panic (and must not require a sink).
-        event("no sink installed");
+        // Must not panic while narration is off.
+        event("narration off");
     }
 }

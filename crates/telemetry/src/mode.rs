@@ -1,181 +1,48 @@
-//! Global sink selection: silent by default, switchable by environment
-//! variable or builder.
+//! Narration: `[telemetry]` progress lines on stderr, off by default.
 //!
-//! The mode is a process-wide atomic. `MANDIPASS_TELEMETRY` is read
-//! lazily on the first telemetry touch; [`set_mode`], [`install_sink`]
-//! and [`Builder`] override it programmatically. The fast path for
-//! disabled telemetry is a single relaxed atomic load.
+//! `MANDIPASS_TELEMETRY` is read lazily under the crate's one switch
+//! rule (`1`, `on`, `true` or `yes` is on); [`set_mode`] overrides it and
+//! [`set_default_mode`] applies only while it is unset. Spans do not
+//! depend on the mode: they feed [`crate::capture`] and the CPU
+//! profiler only.
 
-use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, Mutex};
+use crate::switch::Switch;
 
-use crate::sink::{JsonSink, Sink, TextSink};
-
-/// The active output mode.
+/// Whether [`crate::event`] narrates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mode {
-    /// No sink: spans and events cost ~nothing (the default).
+    /// No narration (the default).
     Silent,
-    /// Human-readable lines on stderr.
+    /// `[telemetry] <message>` lines on stderr.
     Text,
-    /// One JSON object per line on stderr (`mandipass_util::json`).
-    Json,
-    /// A caller-installed [`Sink`] implementation.
-    Custom,
 }
 
-impl Mode {
-    /// Parses an environment-variable value; unknown values are silent,
-    /// so a typo can never flip telemetry on in production.
-    pub fn from_env_str(value: &str) -> Mode {
-        match value.trim().to_ascii_lowercase().as_str() {
-            "text" | "stderr" | "1" | "on" => Mode::Text,
-            "json" => Mode::Json,
-            _ => Mode::Silent,
-        }
-    }
-}
-
-/// 0 = uninitialised, 1 = silent, 2 = text, 3 = json, 4 = custom.
-static MODE: AtomicU8 = AtomicU8::new(0);
-
-/// The installed sink for text/json/custom modes.
-static SINK: Mutex<Option<Arc<dyn Sink>>> = Mutex::new(None);
-
-fn sink_slot() -> std::sync::MutexGuard<'static, Option<Arc<dyn Sink>>> {
-    SINK.lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-}
-
-fn builtin_sink(mode: Mode) -> Option<Arc<dyn Sink>> {
-    match mode {
-        Mode::Text => Some(Arc::new(TextSink)),
-        Mode::Json => Some(Arc::new(JsonSink)),
-        _ => None,
-    }
-}
-
-fn mode_byte(mode: Mode) -> u8 {
-    match mode {
-        Mode::Silent => 1,
-        Mode::Text => 2,
-        Mode::Json => 3,
-        Mode::Custom => 4,
-    }
-}
-
-fn init_from_env() -> u8 {
-    let mode = std::env::var("MANDIPASS_TELEMETRY")
-        .map(|v| Mode::from_env_str(&v))
-        .unwrap_or(Mode::Silent);
-    let byte = mode_byte(mode);
-    // First initialiser wins; racing threads parsed the same env value.
-    if MODE
-        .compare_exchange(0, byte, Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok()
-    {
-        *sink_slot() = builtin_sink(mode);
-    }
-    MODE.load(Ordering::Relaxed)
-}
-
-fn mode_byte_now() -> u8 {
-    match MODE.load(Ordering::Relaxed) {
-        0 => init_from_env(),
-        b => b,
-    }
-}
+pub(crate) static NARRATION: Switch = Switch::new("MANDIPASS_TELEMETRY");
 
 /// The active mode.
 pub fn mode() -> Mode {
-    match mode_byte_now() {
-        2 => Mode::Text,
-        3 => Mode::Json,
-        4 => Mode::Custom,
-        _ => Mode::Silent,
-    }
-}
-
-/// Whether any sink is active. One relaxed atomic load once
-/// initialised — this is the disabled-telemetry fast path.
-pub fn enabled() -> bool {
-    mode_byte_now() > 1
-}
-
-/// Selects a built-in sink (or silence), overriding the environment.
-pub fn set_mode(mode: Mode) {
-    let mode = if mode == Mode::Custom {
-        // Custom without a sink would be enabled-but-silent; normalise.
-        Mode::Silent
+    if enabled() {
+        Mode::Text
     } else {
-        mode
-    };
-    *sink_slot() = builtin_sink(mode);
-    MODE.store(mode_byte(mode), Ordering::Relaxed);
-}
-
-/// Installs a caller-provided sink and switches to [`Mode::Custom`].
-pub fn install_sink(sink: Arc<dyn Sink>) {
-    *sink_slot() = Some(sink);
-    MODE.store(mode_byte(Mode::Custom), Ordering::Relaxed);
-}
-
-/// The sink spans and events are delivered to (`None` when silent).
-pub(crate) fn active_sink() -> Option<Arc<dyn Sink>> {
-    if !enabled() {
-        return None;
+        Mode::Silent
     }
-    sink_slot().clone()
 }
 
-/// Applies the mode only when the environment did not choose one —
-/// lets binaries default to narrated output while still honouring an
+/// Whether narration is on. One relaxed atomic load once initialised.
+pub fn enabled() -> bool {
+    NARRATION.get()
+}
+
+/// Selects narration or silence, overriding the environment.
+pub fn set_mode(mode: Mode) {
+    NARRATION.set(mode == Mode::Text);
+}
+
+/// Applies the mode only when `MANDIPASS_TELEMETRY` is unset — lets
+/// binaries default to narrated output while still honouring an
 /// explicit `MANDIPASS_TELEMETRY=off`.
 pub fn set_default_mode(mode: Mode) {
-    if std::env::var("MANDIPASS_TELEMETRY").is_err() && mode_byte_now() == 1 {
-        set_mode(mode);
-    }
-}
-
-/// Configures telemetry fluently:
-///
-/// ```
-/// use mandipass_telemetry::{Builder, Mode};
-/// Builder::new().mode(Mode::Silent).deterministic(false).install();
-/// ```
-#[derive(Debug, Default)]
-pub struct Builder {
-    mode: Option<Mode>,
-    deterministic: Option<bool>,
-}
-
-impl Builder {
-    /// An empty builder: nothing changes unless set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Selects a built-in sink mode.
-    pub fn mode(mut self, mode: Mode) -> Self {
-        self.mode = Some(mode);
-        self
-    }
-
-    /// Selects the time source (see [`crate::set_deterministic`]).
-    pub fn deterministic(mut self, deterministic: bool) -> Self {
-        self.deterministic = Some(deterministic);
-        self
-    }
-
-    /// Applies the configuration to the global telemetry state.
-    pub fn install(self) {
-        if let Some(mode) = self.mode {
-            set_mode(mode);
-        }
-        if let Some(det) = self.deterministic {
-            crate::clock::set_deterministic(det);
-        }
-    }
+    NARRATION.set_default(mode == Mode::Text);
 }
 
 #[cfg(test)]
@@ -184,47 +51,13 @@ mod tests {
     use crate::test_sync::global_state_lock;
 
     #[test]
-    fn env_values_parse_to_expected_modes() {
-        assert_eq!(Mode::from_env_str("text"), Mode::Text);
-        assert_eq!(Mode::from_env_str("STDERR"), Mode::Text);
-        assert_eq!(Mode::from_env_str("json"), Mode::Json);
-        assert_eq!(Mode::from_env_str(" Json "), Mode::Json);
-        assert_eq!(Mode::from_env_str("off"), Mode::Silent);
-        assert_eq!(Mode::from_env_str(""), Mode::Silent);
-        assert_eq!(Mode::from_env_str("banana"), Mode::Silent);
-    }
-
-    #[test]
-    fn set_mode_switches_sink_and_enabled_flag() {
+    fn set_mode_switches_narration() {
         let _lock = global_state_lock();
         set_mode(Mode::Text);
         assert!(enabled());
         assert_eq!(mode(), Mode::Text);
-        assert!(active_sink().is_some());
         set_mode(Mode::Silent);
         assert!(!enabled());
-        assert!(active_sink().is_none());
-    }
-
-    #[test]
-    fn custom_sink_installation_enables_custom_mode() {
-        let _lock = global_state_lock();
-        struct Probe;
-        impl Sink for Probe {
-            fn span_close(&self, _span: &crate::sink::SpanEvent<'_>) {}
-            fn event(&self, _message: &str) {}
-        }
-        install_sink(Arc::new(Probe));
-        assert_eq!(mode(), Mode::Custom);
-        assert!(enabled());
-        set_mode(Mode::Silent);
-    }
-
-    #[test]
-    fn builder_installs_mode() {
-        let _lock = global_state_lock();
-        Builder::new().mode(Mode::Json).install();
-        assert_eq!(mode(), Mode::Json);
-        set_mode(Mode::Silent);
+        assert_eq!(mode(), Mode::Silent);
     }
 }

@@ -20,17 +20,16 @@ use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use mandipass_util::json::Value;
 
 use crate::clock;
-use crate::drift::{DriftConfig, DriftDetector, HealthReport};
+use crate::drift::{self, DriftDetector, HealthReport};
 use crate::flight::{FlightOutcome, VerifyFlight};
 use crate::span::SpanTree;
 use crate::trace::{FlightRecord, RequestTrace, TraceConfig, TraceStore};
 use crate::window::WindowedCounter;
 
-/// Monitor-wide configuration: drift thresholds plus the record ring.
+/// Monitor-wide configuration: the record ring. The drift detector's
+/// thresholds and window geometry are constants (see [`crate::drift`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MonitorConfig {
-    /// Drift-detector thresholds and window geometry.
-    pub drift: DriftConfig,
     /// Record-ring geometry (shared by traces and flights) and the
     /// request-trace sampling rules.
     pub trace: TraceConfig,
@@ -38,7 +37,6 @@ pub struct MonitorConfig {
 
 #[derive(Debug)]
 struct MonitorInner {
-    config: MonitorConfig,
     detector: DriftDetector,
     /// Windowed quality-reject counts keyed by reason label.
     quality_rejects: BTreeMap<String, WindowedCounter>,
@@ -68,15 +66,12 @@ impl Default for Monitor {
 impl Monitor {
     /// A monitor with the given configuration.
     pub fn new(config: MonitorConfig) -> Self {
-        let detector = DriftDetector::new(config.drift.clone());
-        let records = TraceStore::new(config.trace.clone());
         Monitor {
             inner: Mutex::new(MonitorInner {
-                config,
-                detector,
+                detector: DriftDetector::new(),
                 quality_rejects: BTreeMap::new(),
                 audit: BTreeMap::new(),
-                records,
+                records: TraceStore::new(config.trace),
                 breaker: Value::Null,
             }),
         }
@@ -110,24 +105,13 @@ impl Monitor {
         let now = clock::now();
         let mut inner = self.lock();
         inner.detector.observe_quality_reject_at(now);
-        let (window_secs, slots) = (inner.config.drift.window_secs, inner.config.drift.slots);
-        inner
-            .quality_rejects
-            .entry(label.to_string())
-            .or_insert_with(|| WindowedCounter::new(window_secs, slots))
-            .inc_at(now);
+        count_label(&mut inner.quality_rejects, label, now);
     }
 
     /// Records one enclave audit event under its kind label.
     pub fn observe_audit(&self, kind_label: &str) {
         let now = clock::now();
-        let mut inner = self.lock();
-        let (window_secs, slots) = (inner.config.drift.window_secs, inner.config.drift.slots);
-        inner
-            .audit
-            .entry(kind_label.to_string())
-            .or_insert_with(|| WindowedCounter::new(window_secs, slots))
-            .inc_at(now);
+        count_label(&mut self.lock().audit, kind_label, now);
     }
 
     /// Records one failed/degraded verification flight, with the
@@ -279,7 +263,7 @@ impl Monitor {
     }
 
     /// Clears every sliding window and the record ring; the frozen drift
-    /// baseline and the configuration survive. Lets one process run
+    /// baseline and the ring's configuration survive. Lets one process run
     /// separate monitored phases (and keeps the integration tests
     /// independent under the never-expiring logical clock).
     pub fn reset_windows(&self) {
@@ -288,6 +272,20 @@ impl Monitor {
         inner.quality_rejects.clear();
         inner.audit.clear();
         inner.records.clear();
+    }
+}
+
+/// Counts one event under `label`, allocating the key only the first
+/// time the label is seen: this runs under the monitor lock on every
+/// served verify.
+fn count_label(counters: &mut BTreeMap<String, WindowedCounter>, label: &str, now: u64) {
+    match counters.get_mut(label) {
+        Some(counter) => counter.inc_at(now),
+        None => {
+            let mut counter = drift::windowed_counter();
+            counter.inc_at(now);
+            counters.insert(label.to_string(), counter);
+        }
     }
 }
 
@@ -449,6 +447,41 @@ mod tests {
             flights[0].flight.detail.get("to").and_then(Value::as_str),
             Some("open")
         );
+    }
+
+    /// The health document for one fixed sequence of observations,
+    /// pinned byte for byte: the drift thresholds and window geometry
+    /// are constants, and this golden string holds them to their values.
+    #[test]
+    fn health_document_is_pinned() {
+        let _lock = global_state_lock();
+        crate::set_deterministic(true);
+        let m = Monitor::default();
+        m.extend_baseline(&[0.42, 0.45, 0.47, 0.49, 0.50, 0.52, 0.55]);
+        m.freeze_baseline();
+        for i in 0..10 {
+            m.observe_decision(0.44 + 0.01 * f64::from(i), true, false);
+        }
+        for i in 0..4 {
+            m.observe_decision(0.95 + 0.05 * f64::from(i), false, false);
+        }
+        for _ in 0..3 {
+            m.observe_reject("quality:dead_axis");
+        }
+        for i in 0..5 {
+            m.observe_decision(0.50 + 0.04 * f64::from(i), i % 2 == 0, true);
+        }
+        let snapshot = m.snapshot();
+        let health = snapshot.get("health").map(Value::to_json);
+        crate::set_deterministic(false);
+        const GOLDEN: &str = concat!(
+            r#"{"status":"degrading","decisions":19,"sufficient":true,"signals":["#,
+            r#"{"signal":"distance_drift","value":0.7914136687362943,"warn":0.5,"alarm":2,"status":"degrading"},"#,
+            r#"{"signal":"reject_rate_spike","value":0.4090909090909091,"warn":0.25,"alarm":0.6,"status":"degrading"},"#,
+            r#"{"signal":"degraded_ratio","value":0.2631578947368421,"warn":0.25,"alarm":0.6,"status":"degrading"},"#,
+            r#"{"signal":"frr_proxy","value":0.3157894736842105,"warn":0.25,"alarm":0.6,"status":"degrading"}]}"#,
+        );
+        assert_eq!(health.as_deref(), Some(GOLDEN));
     }
 
     #[test]

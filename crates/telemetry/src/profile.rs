@@ -38,45 +38,30 @@
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use mandipass_util::json::Value;
 
 use crate::metrics::Histogram;
+use crate::switch::Switch;
 
-/// Environment variable that switches the CPU profiler on
-/// (`1`/`on`/`true`; anything else stays off, so a typo can never
-/// enable profiling in production).
+/// Environment variable that switches the CPU profiler on (`1`, `on`,
+/// `true` or `yes`, trimmed and in any case; anything else is off).
 pub const PROFILE_ENV: &str = "MANDIPASS_PROFILE";
 
-/// 0 = uninitialised (read the environment on first touch),
-/// 1 = off, 2 = on.
-static ENABLED: AtomicU8 = AtomicU8::new(0);
-
-fn init_from_env() -> u8 {
-    let on = std::env::var(PROFILE_ENV)
-        .map(|v| matches!(v.trim().to_ascii_lowercase().as_str(), "1" | "on" | "true"))
-        .unwrap_or(false);
-    let byte = if on { 2 } else { 1 };
-    // First initialiser wins; racing threads parsed the same value.
-    let _ = ENABLED.compare_exchange(0, byte, Ordering::Relaxed, Ordering::Relaxed);
-    ENABLED.load(Ordering::Relaxed)
-}
+pub(crate) static ENABLED: Switch = Switch::new(PROFILE_ENV);
 
 /// Whether the CPU profiler is recording. One relaxed atomic load once
 /// initialised — this sits on the span fast path.
 pub fn enabled() -> bool {
-    match ENABLED.load(Ordering::Relaxed) {
-        0 => init_from_env() == 2,
-        b => b == 2,
-    }
+    ENABLED.get()
 }
 
 /// Switches the profiler on or off programmatically, overriding the
 /// environment.
 pub fn set_enabled(on: bool) {
-    ENABLED.store(if on { 2 } else { 1 }, Ordering::Relaxed);
+    ENABLED.set(on);
 }
 
 thread_local! {

@@ -2,11 +2,12 @@
 //!
 //! [`span`] opens a scope on a thread-local stack and returns a
 //! [`SpanGuard`]; dropping the guard (normally or during unwinding)
-//! closes the scope, computes the duration, and delivers the closed
-//! span to the active sink. [`capture`] additionally retains every span
-//! closed on the current thread and returns them as a [`SpanTree`] —
-//! the structure behind the per-stage latency reports and the
-//! bit-stable determinism assertions.
+//! closes the scope and computes the duration. A span has two
+//! consumers: [`capture`], which retains every span closed on the
+//! current thread and returns them as a [`SpanTree`] — the structure
+//! behind the per-stage latency reports and the bit-stable determinism
+//! assertions — and the CPU profiler ([`crate::profile`]) while it
+//! records. With neither active a span is inert.
 
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,8 +15,6 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use mandipass_util::json::Value;
 
 use crate::clock;
-use crate::mode;
-use crate::sink::SpanEvent;
 
 /// One closed (or still-open, duration 0) span inside a [`SpanTree`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -98,7 +97,6 @@ impl SpanTree {
 
 /// One open span on the thread's stack.
 struct OpenSpan {
-    name: &'static str,
     start: u64,
     /// Index into the capture buffer, when capturing.
     record: Option<usize>,
@@ -123,8 +121,8 @@ thread_local! {
 }
 
 /// Number of threads currently inside [`capture`]; lets [`span`] skip
-/// the thread-local entirely when telemetry is globally silent and
-/// nothing captures.
+/// the thread-local entirely when the profiler is off and nothing
+/// captures.
 static CAPTURING_THREADS: AtomicUsize = AtomicUsize::new(0);
 
 /// RAII guard returned by [`span`]; closes the scope on drop.
@@ -144,18 +142,17 @@ impl SpanGuard {
     };
 }
 
-/// Opens a span named `name`. When telemetry is silent and nothing is
+/// Opens a span named `name`. When the profiler is off and nothing is
 /// capturing, this is two relaxed atomic loads and returns an inert
 /// guard.
 pub fn span(name: &'static str) -> SpanGuard {
-    let sink_on = mode::enabled();
     let profiling = crate::profile::enabled();
-    if !sink_on && !profiling && CAPTURING_THREADS.load(Ordering::Relaxed) == 0 {
+    if !profiling && CAPTURING_THREADS.load(Ordering::Relaxed) == 0 {
         return SpanGuard::INERT;
     }
     STATE.with(|cell| {
         let mut state = cell.borrow_mut();
-        if !sink_on && !profiling && !state.capturing {
+        if !profiling && !state.capturing {
             // Some *other* thread is capturing; this one stays inert.
             return SpanGuard::INERT;
         }
@@ -182,7 +179,6 @@ pub fn span(name: &'static str) -> SpanGuard {
             None
         };
         state.stack.push(OpenSpan {
-            name,
             start,
             record,
             path_len,
@@ -217,15 +213,6 @@ impl Drop for SpanGuard {
             if crate::profile::enabled() {
                 let self_nanos = duration.saturating_sub(open.child_nanos);
                 crate::profile::record(&state.path, duration, self_nanos);
-            }
-            if let Some(sink) = mode::active_sink() {
-                sink.span_close(&SpanEvent {
-                    name: open.name,
-                    path: &state.path,
-                    depth: state.stack.len() + 1,
-                    start: open.start,
-                    duration,
-                });
             }
             if let Some(idx) = open.record {
                 state.records[idx].duration = duration;
@@ -387,9 +374,9 @@ mod tests {
     }
 
     #[test]
-    fn silent_uncaptured_spans_are_inert() {
+    fn unprofiled_uncaptured_spans_are_inert() {
         let _lock = global_state_lock();
-        crate::mode::set_mode(crate::Mode::Silent);
+        crate::profile::set_enabled(false);
         let guard = span("invisible");
         assert!(!guard.active);
     }

@@ -166,3 +166,34 @@ fn attribution_disabled_skips_the_site_table() {
         "sites recorded while attribution was off"
     );
 }
+
+#[test]
+fn monitor_labels_allocate_only_when_first_seen() {
+    let _lock = lock();
+    let monitor = telemetry::Monitor::default();
+    // Warm-up: one call per label allocates its key and counter.
+    monitor.observe_reject("quality:dead_axis");
+    monitor.observe_audit("verify_hit");
+    let (allocs_before, bytes_before) = thread_allocs();
+    for _ in 0..1_000 {
+        monitor.observe_reject("quality:dead_axis");
+        monitor.observe_audit("verify_hit");
+    }
+    let (allocs_after, bytes_after) = thread_allocs();
+    assert_eq!(
+        allocs_after - allocs_before,
+        0,
+        "a known label allocated under the monitor lock"
+    );
+    assert_eq!(bytes_after - bytes_before, 0);
+    let window = monitor.snapshot();
+    let count = |kind: &str, label: &str| {
+        window
+            .get("window")
+            .and_then(|w| w.get(kind))
+            .and_then(|c| c.get(label))
+            .and_then(mandipass_util::json::Value::as_f64)
+    };
+    assert_eq!(count("quality_rejects", "quality:dead_axis"), Some(1_001.0));
+    assert_eq!(count("audit", "verify_hit"), Some(1_001.0));
+}

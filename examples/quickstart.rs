@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release --example quickstart
-//! MANDIPASS_TELEMETRY=json cargo run --release --example quickstart   # + span tree & latency JSON
+//! MANDIPASS_TELEMETRY=1 cargo run --release --example quickstart   # + span tree & latency JSON
 //! ```
 //!
 //! Mirrors the paper's deployment story: the verification service
@@ -83,9 +83,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         }
     );
 
-    // With MANDIPASS_TELEMETRY=text|json the verifications above already
-    // streamed span lines to stderr; additionally capture one more
-    // verify and print its span tree + per-stage latency breakdown.
+    // With MANDIPASS_TELEMETRY=1, capture one more verify and print its
+    // span tree + per-stage latency breakdown.
     if mandipass_telemetry::enabled() {
         let probe = recorder.record(user, Condition::Normal, 997);
         let (outcome, tree) =

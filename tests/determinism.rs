@@ -164,6 +164,39 @@ fn same_seed_verify_emits_bit_identical_span_tree_and_audit_trail() {
     }
 }
 
+/// A gyro-faulted policy verify decides in degraded accelerometer-only
+/// mode, and that decision is made inside one `similarity` span under
+/// `verify_degraded`, like every other decision. The distance and the
+/// decision are pinned bit for bit.
+#[test]
+fn degraded_policy_verify_decides_inside_one_similarity_span() {
+    use mandipass_imu_sim::{FaultProfile, FaultyRecorder};
+
+    mandipass_telemetry::set_deterministic(true);
+    let (pop, rec, mut sys) = fresh_system();
+    let user = &pop.users()[0];
+    let matrix = GaussianMatrix::generate(9, sys.embedding_dim());
+    let enrolment: Vec<_> = (0..3)
+        .map(|s| rec.record(user, Condition::Normal, 8000 + s))
+        .collect();
+    sys.enroll(user.id, &enrolment, &matrix).expect("enrols");
+    let faulty = FaultyRecorder::new(rec, FaultProfile::stuck_gyro(1.0));
+    let probe = faulty.record(user, Condition::Normal, 8200);
+    let (decision, tree) = mandipass_telemetry::capture(|| {
+        sys.verify_with_policy(user.id, &[probe], &matrix, &VerifyPolicy::default())
+    });
+    mandipass_telemetry::set_deterministic(false);
+    let decision = decision.expect("decides");
+    assert!(decision.degraded, "a dead gyro must take the degraded path");
+    assert_eq!(decision.outcome.distance.to_bits(), 0x3fa1_f5ab_7b37_c950);
+    assert!(decision.outcome.accepted);
+    let spans = tree.spans();
+    let similarity: Vec<_> = spans.iter().filter(|s| s.name == "similarity").collect();
+    assert_eq!(similarity.len(), 1, "one decision, one similarity span");
+    let parent = similarity[0].parent.map(|p| spans[p].name);
+    assert_eq!(parent, Some("verify_degraded"));
+}
+
 #[test]
 fn same_seed_evaluations_land_on_the_same_eer_point() {
     let mut stack_a = TrainedStack::build(EvalScale::smoke_test()).expect("training succeeds");

@@ -43,7 +43,6 @@ fn serve_fixture() -> (
             sample_rate: 1.0,
             ..TraceConfig::default()
         },
-        ..MonitorConfig::default()
     })));
     system.set_monitor(monitor);
     let user = pop.users()[0].clone();
