@@ -92,7 +92,7 @@ fn bench_end_to_end_verify(c: &mut Criterion) {
     c.bench_function("verify_end_to_end", |b| {
         b.iter(|| {
             system
-                .verify(0, std::hint::black_box(&rec), &matrix)
+                .verify(0, std::hint::black_box(&rec))
                 .expect("verifies")
         })
     });

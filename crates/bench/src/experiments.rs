@@ -448,10 +448,9 @@ pub fn exp_accuracy(stack: &TrainedStack, threshold: f64) -> Result<Value, Mandi
     let (mut false_rejects, mut false_accepts) = (0usize, 0usize);
     let mut trail = Vec::new();
     for claimed in users {
-        let claimed_matrix = matrix(claimed, 0);
         for (owner, probes) in users.iter().zip(&probe_sets) {
             for probe in probes {
-                let outcome = auth.verify(claimed.id, probe, &claimed_matrix).ok();
+                let outcome = auth.verify(claimed.id, probe).ok();
                 let accepted = outcome.is_some_and(|o| o.accepted);
                 let distance = outcome.map_or(f64::NAN, |o| o.distance);
                 trail.push(u8::from(accepted));
@@ -482,10 +481,14 @@ pub fn exp_accuracy(stack: &TrainedStack, threshold: f64) -> Result<Value, Mandi
         let renewed = auth.enclave().load(user.id)?;
         cross_seed.push(cosine_distance(revoked.as_slice(), renewed.as_slice()));
         let replay = auth.verify_cancelable(user.id, &revoked)?;
+        // A stale client still transforms under the revoked matrix.
         let revoked_matrix = matrix(user, 0);
-        let stale = probes
-            .iter()
-            .filter_map(|probe| auth.verify(user.id, probe, &revoked_matrix).ok());
+        let stale = probes.iter().filter_map(|probe| {
+            let presented = revoked_matrix
+                .transform(&auth.extract_print(probe).ok()?)
+                .ok()?;
+            auth.verify_cancelable(user.id, &presented).ok()
+        });
         for outcome in std::iter::once(replay).chain(stale) {
             revoked_attempts += 1;
             revoked_accepts += usize::from(outcome.accepted);
@@ -1513,11 +1516,8 @@ pub fn exp_robustness(
     let auth = {
         let mut auth = MandiPass::new(stack.extractor.clone(), config);
         let dim = auth.embedding_dim();
-        let matrices: Vec<GaussianMatrix> = users
-            .iter()
-            .map(|u| GaussianMatrix::generate(0x0b0e ^ u64::from(u.id), dim))
-            .collect();
-        for (user, matrix) in users.iter().zip(&matrices) {
+        for user in &users {
+            let matrix = GaussianMatrix::generate(0x0b0e ^ u64::from(user.id), dim);
             let recs: Vec<Recording> = (0..4u64)
                 .map(|s| {
                     recorder.record(
@@ -1527,17 +1527,15 @@ pub fn exp_robustness(
                     )
                 })
                 .collect();
-            auth.enroll(user.id, &recs, matrix)?;
+            auth.enroll(user.id, &recs, &matrix)?;
         }
-        (auth, matrices)
+        auth
     };
-    let (auth, matrices) = auth;
     let policy = VerifyPolicy::default();
 
     // One trial: `max_attempts` faulted probes from `prober`, verified
     // against `target`'s template under the policy.
     let trial = |target: &UserProfile,
-                 matrix: &GaussianMatrix,
                  prober: &UserProfile,
                  faulty: &FaultyRecorder,
                  seed: u64|
@@ -1545,7 +1543,7 @@ pub fn exp_robustness(
         let probes: Vec<Recording> = (0..policy.max_attempts as u64)
             .map(|a| faulty.record(prober, Condition::Normal, seed ^ (a << 48)))
             .collect();
-        match auth.verify_with_policy(target.id, &probes, matrix, &policy) {
+        match auth.verify_with_policy(target.id, &probes, &policy) {
             Ok(decision) if decision.outcome.accepted => Ok(TrialOutcome::Accept {
                 degraded: decision.degraded,
             }),
@@ -1601,11 +1599,8 @@ pub fn exp_robustness(
                         }
                     }
                 };
-                tally(trial(user, &matrices[u], user, &faulty, seed)?, true);
-                tally(
-                    trial(user, &matrices[u], impostor, &faulty, seed ^ 1)?,
-                    false,
-                );
+                tally(trial(user, user, &faulty, seed)?, true);
+                tally(trial(user, impostor, &faulty, seed ^ 1)?, false);
             }
         }
         Ok(RobustnessCell {
@@ -1799,12 +1794,9 @@ pub fn exp_monitor(
     let mut auth = MandiPass::new(stack.extractor.clone(), config);
     auth.set_monitor(monitor);
     let dim = auth.embedding_dim();
-    let matrices: Vec<GaussianMatrix> = users
-        .iter()
-        .map(|u| GaussianMatrix::generate(0x3017 ^ u64::from(u.id), dim))
-        .collect();
     // Enrolment feeds and freezes the monitor's drift baseline.
-    for (user, matrix) in users.iter().zip(&matrices) {
+    for user in &users {
+        let matrix = GaussianMatrix::generate(0x3017 ^ u64::from(user.id), dim);
         let recs: Vec<Recording> = (0..4u64)
             .map(|s| {
                 recorder.record(
@@ -1814,7 +1806,7 @@ pub fn exp_monitor(
                 )
             })
             .collect();
-        auth.enroll(user.id, &recs, matrix)?;
+        auth.enroll(user.id, &recs, &matrix)?;
     }
     // Re-freeze the baseline on live probe distances: enrolment froze
     // the prints-vs-template distribution, which sits closer to the
@@ -1826,7 +1818,7 @@ pub fn exp_monitor(
         for s in 0..4u64 {
             let probe =
                 recorder.record(user, Condition::Normal, 0x3017_3000 ^ ((u as u64) << 8) ^ s);
-            calibration.push(auth.verify(user.id, &probe, &matrices[u])?.distance);
+            calibration.push(auth.verify(user.id, &probe)?.distance);
         }
     }
     monitor.extend_baseline(&calibration);
@@ -1840,7 +1832,7 @@ pub fn exp_monitor(
         for s in 0..clean_probes as u64 {
             let probe =
                 recorder.record(user, Condition::Normal, 0x3017_1000 ^ ((u as u64) << 8) ^ s);
-            let _ = auth.verify_with_policy(user.id, &[probe], &matrices[u], &policy);
+            let _ = auth.verify_with_policy(user.id, &[probe], &policy);
         }
     }
     let clean_health = monitor.health();
@@ -1858,7 +1850,7 @@ pub fn exp_monitor(
                 let probes: Vec<Recording> = (0..policy.max_attempts as u64)
                     .map(|a| faulty.record(user, Condition::Normal, seed ^ (a << 48)))
                     .collect();
-                let _ = auth.verify_with_policy(user.id, &probes, &matrices[u], &policy);
+                let _ = auth.verify_with_policy(user.id, &probes, &policy);
             }
         }
     }

@@ -283,26 +283,23 @@ impl MandiPass {
         })
     }
 
-    /// Verifies a probe recording against `user_id`'s stored template.
+    /// Verifies a probe recording against `user_id`'s stored template,
+    /// transforming the probe under the matrix that template was sealed
+    /// with.
     ///
     /// # Errors
     ///
     /// * [`MandiPassError::NotEnrolled`] when no template exists.
     /// * [`MandiPassError::Dsp`] when the probe contains no detectable
     ///   vibration (e.g. a zero-effort attacker who does not hum).
-    pub fn verify(
-        &self,
-        user_id: u32,
-        probe: &Recording,
-        matrix: &GaussianMatrix,
-    ) -> Result<VerifyOutcome, MandiPassError> {
+    pub fn verify(&self, user_id: u32, probe: &Recording) -> Result<VerifyOutcome, MandiPassError> {
         let _span = mandipass_telemetry::span("verify");
         let template = {
             let _span = mandipass_telemetry::span("enclave_load");
             self.enclave.load(user_id)?
         };
         let print = self.extract_print(probe)?;
-        let cancelable = self.memo.transform(matrix, &print)?;
+        let cancelable = self.memo.transform(&sealed_matrix(&template), &print)?;
         let outcome = decide(&template, &cancelable, self.config.threshold);
         self.finish_verify(user_id, outcome);
         Ok(outcome)
@@ -356,7 +353,6 @@ impl MandiPass {
         &self,
         user_id: u32,
         probes: &[Recording],
-        matrix: &GaussianMatrix,
         policy: &VerifyPolicy,
     ) -> Result<PolicyDecision, MandiPassError> {
         let _span = mandipass_telemetry::span("verify_with_policy");
@@ -376,11 +372,9 @@ impl MandiPass {
             // inside an outer capture (benchmarks, the determinism suite)
             // this yields and records nothing.
             let (result, spans) = if report.ok() {
-                mandipass_telemetry::try_capture(|| self.verify(user_id, probe, matrix))
+                mandipass_telemetry::try_capture(|| self.verify(user_id, probe))
             } else if policy.allow_degraded && report.degraded_viable() {
-                mandipass_telemetry::try_capture(|| {
-                    self.verify_degraded(user_id, probe, matrix, policy)
-                })
+                mandipass_telemetry::try_capture(|| self.verify_degraded(user_id, probe, policy))
             } else {
                 let reasons: Vec<&'static str> = report.reasons.iter().map(|r| r.label()).collect();
                 self.reject(user_id, "quality", &reasons, &report, None, &mut rejects);
@@ -455,7 +449,6 @@ impl MandiPass {
         &self,
         user_id: u32,
         probe: &Recording,
-        matrix: &GaussianMatrix,
         policy: &VerifyPolicy,
     ) -> Result<VerifyOutcome, MandiPassError> {
         let _span = mandipass_telemetry::span("verify_degraded");
@@ -471,7 +464,7 @@ impl MandiPass {
         };
         let config = self.degraded_config(policy.degraded_threshold_scale);
         let print = self.extract_print_with_config(probe, &config)?;
-        let cancelable = self.memo.transform(matrix, &print)?;
+        let cancelable = self.memo.transform(&sealed_matrix(&template), &print)?;
         let outcome = decide(&template, &cancelable, config.threshold);
         self.enclave
             .record_degraded_verify(user_id, outcome.accepted, outcome.distance);
@@ -537,6 +530,12 @@ impl MandiPass {
             self.monitor.record_flight(flight, None);
         }
     }
+}
+
+/// The matrix `template` was sealed under, rebuilt from the seed and
+/// dimension the template carries.
+fn sealed_matrix(template: &CancelableTemplate) -> GaussianMatrix {
+    GaussianMatrix::generate(template.matrix_seed(), template.dim())
 }
 
 /// The one accept/reject rule, timed as the `similarity` stage: the
@@ -605,7 +604,7 @@ mod tests {
         let mut accepted = 0;
         for s in 0..10 {
             let probe = recorder.record(user, Condition::Normal, 2000 + s);
-            let outcome = system.verify(user.id, &probe, &matrix).unwrap();
+            let outcome = system.verify(user.id, &probe).unwrap();
             if outcome.accepted {
                 accepted += 1;
             }
@@ -627,14 +626,14 @@ mod tests {
         let genuine: f64 = (0..5)
             .map(|s| {
                 let probe = recorder.record(victim, Condition::Normal, 4000 + s);
-                system.verify(victim.id, &probe, &matrix).unwrap().distance
+                system.verify(victim.id, &probe).unwrap().distance
             })
             .sum::<f64>()
             / 5.0;
         let impostor: f64 = (0..5)
             .map(|s| {
                 let probe = recorder.record(attacker, Condition::Normal, 5000 + s);
-                system.verify(victim.id, &probe, &matrix).unwrap().distance
+                system.verify(victim.id, &probe).unwrap().distance
             })
             .sum::<f64>()
             / 5.0;
@@ -648,9 +647,8 @@ mod tests {
     fn unenrolled_user_is_rejected_with_error() {
         let (system, pop, recorder) = trained_system();
         let probe = recorder.record(&pop.users()[0], Condition::Normal, 1);
-        let matrix = GaussianMatrix::generate(3, system.embedding_dim());
         assert!(matches!(
-            system.verify(9, &probe, &matrix),
+            system.verify(9, &probe),
             Err(MandiPassError::NotEnrolled { user_id: 9 })
         ));
     }
@@ -759,7 +757,7 @@ mod tests {
         assert!(stolen.is_some());
         let probe = recorder.record(user, Condition::Normal, 6100);
         assert!(matches!(
-            system.verify(user.id, &probe, &matrix),
+            system.verify(user.id, &probe),
             Err(MandiPassError::NotEnrolled { .. })
         ));
     }
@@ -782,11 +780,11 @@ mod tests {
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
 
         let probe = recorder.record(b, Condition::Normal, 9500);
-        let before = system.verify(b.id, &probe, &matrix).unwrap();
+        let before = system.verify(b.id, &probe).unwrap();
         assert_eq!(system.memo.stats().hits, 2);
         system.revoke(a.id).unwrap();
         assert_eq!(system.memo.stats().entries, 0);
-        let after = system.verify(b.id, &probe, &matrix).unwrap();
+        let after = system.verify(b.id, &probe).unwrap();
         let stats = system.memo.stats();
         assert_eq!(
             (stats.hits, stats.misses),
@@ -795,6 +793,59 @@ mod tests {
         );
         assert_eq!(before.distance.to_bits(), after.distance.to_bits());
         assert_eq!(before.accepted, after.accepted);
+    }
+
+    /// Verify transforms the probe under the matrix named by the sealed
+    /// template: its distance equals a direct transform under
+    /// `(seed, dim)` followed by the cosine distance, bit for bit.
+    #[test]
+    fn verify_distance_matches_the_sealed_matrix_oracle() {
+        let (mut system, pop, recorder) = trained_system();
+        let user = &pop.users()[0];
+        let dim = system.embedding_dim();
+        let recs: Vec<_> = (0..3)
+            .map(|s| recorder.record(user, Condition::Normal, 9600 + s))
+            .collect();
+        system
+            .enroll(user.id, &recs, &GaussianMatrix::generate(23, dim))
+            .unwrap();
+        let probe = recorder.record(user, Condition::Normal, 9700);
+        let outcome = system.verify(user.id, &probe).unwrap();
+
+        let template = system.enclave().load(user.id).unwrap();
+        let print = system.extract_print(&probe).unwrap();
+        let oracle = GaussianMatrix::generate(23, dim).transform(&print).unwrap();
+        let distance = cosine_distance(template.as_slice(), oracle.as_slice());
+        assert_eq!(outcome.distance.to_bits(), distance.to_bits());
+    }
+
+    /// After a revocation and a re-enrolment under a new seed, verify
+    /// transforms under the new matrix, not the revoked one.
+    #[test]
+    fn verify_after_reenrolment_uses_the_new_matrix() {
+        let (mut system, pop, recorder) = trained_system();
+        let user = &pop.users()[0];
+        let dim = system.embedding_dim();
+        let recs: Vec<_> = (0..3)
+            .map(|s| recorder.record(user, Condition::Normal, 9800 + s))
+            .collect();
+        let probe = recorder.record(user, Condition::Normal, 9900);
+        system
+            .enroll(user.id, &recs, &GaussianMatrix::generate(24, dim))
+            .unwrap();
+        system.verify(user.id, &probe).unwrap();
+        system.revoke(user.id).unwrap();
+        system
+            .enroll(user.id, &recs, &GaussianMatrix::generate(25, dim))
+            .unwrap();
+        let outcome = system.verify(user.id, &probe).unwrap();
+
+        let print = system.extract_print(&probe).unwrap();
+        let template = system.enclave().load(user.id).unwrap();
+        assert_eq!(template.matrix_seed(), 25);
+        let oracle = GaussianMatrix::generate(25, dim).transform(&print).unwrap();
+        let distance = cosine_distance(template.as_slice(), oracle.as_slice());
+        assert_eq!(outcome.distance.to_bits(), distance.to_bits());
     }
 
     #[test]
@@ -810,7 +861,7 @@ mod tests {
             .map(|s| recorder.record(user, Condition::Normal, 8100 + s))
             .collect();
         let decision = system
-            .verify_with_policy(user.id, &probes, &matrix, &VerifyPolicy::default())
+            .verify_with_policy(user.id, &probes, &VerifyPolicy::default())
             .unwrap();
         assert_eq!(decision.attempts, 1);
         assert!(!decision.degraded);
@@ -839,7 +890,7 @@ mod tests {
             .unwrap()
         };
         let decision = system
-            .verify_with_policy(user.id, &[bad, good], &matrix, &VerifyPolicy::default())
+            .verify_with_policy(user.id, &[bad, good], &VerifyPolicy::default())
             .unwrap();
         assert_eq!(decision.attempts, 2);
         assert_eq!(decision.rejects.len(), 1);
@@ -885,7 +936,7 @@ mod tests {
         let saturated = mandipass_telemetry::metrics().counter("quality.reject.saturated");
         let before = saturated.get();
         let decision = system
-            .verify_with_policy(user.id, &[clipped, good], &matrix, &VerifyPolicy::default())
+            .verify_with_policy(user.id, &[clipped, good], &VerifyPolicy::default())
             .unwrap();
         assert_eq!(decision.rejects, vec!["quality:saturated".to_string()]);
         assert_eq!(saturated.get() - before, 1);
@@ -913,7 +964,7 @@ mod tests {
         let axes = vec![vec![f64::NAN; good.len()]; 6];
         let bad = Recording::from_parts(good.sample_rate_hz(), axes, good.condition(), 0).unwrap();
         let (decision, tree) = mandipass_telemetry::capture(|| {
-            system.verify_with_policy(user.id, &[bad, good], &matrix, &VerifyPolicy::default())
+            system.verify_with_policy(user.id, &[bad, good], &VerifyPolicy::default())
         });
         assert_eq!(decision.unwrap().attempts, 2);
         assert_eq!(
@@ -942,7 +993,7 @@ mod tests {
             .map(|s| recorder.record(user, Condition::Normal, 8550 + s))
             .collect();
         let (decision, tree) = mandipass_telemetry::capture(|| {
-            system.verify_with_policy(user.id, &probes, &matrix, &VerifyPolicy::default())
+            system.verify_with_policy(user.id, &probes, &VerifyPolicy::default())
         });
         assert_eq!(decision.unwrap().attempts, 1);
         // The first clean probe decides, so the two retries are neither
@@ -976,7 +1027,7 @@ mod tests {
         )
         .unwrap();
         let decision = system
-            .verify_with_policy(user.id, &[gyro_fault], &matrix, &VerifyPolicy::default())
+            .verify_with_policy(user.id, &[gyro_fault], &VerifyPolicy::default())
             .unwrap();
         assert!(decision.degraded);
         // Degraded mode tightens the threshold.
@@ -1006,7 +1057,7 @@ mod tests {
             })
             .collect();
         let err = system
-            .verify_with_policy(user.id, &garbage, &matrix, &VerifyPolicy::default())
+            .verify_with_policy(user.id, &garbage, &VerifyPolicy::default())
             .unwrap_err();
         match err {
             MandiPassError::RetriesExhausted { attempts, reasons } => {
@@ -1039,8 +1090,7 @@ mod tests {
         let trace_id = 0xfeed_0000_0000_0042_u64;
         {
             let _scope = mandipass_telemetry::trace::scope(trace_id);
-            let _ =
-                system.verify_with_policy(user.id, &[garbage], &matrix, &VerifyPolicy::default());
+            let _ = system.verify_with_policy(user.id, &[garbage], &VerifyPolicy::default());
         }
         let flights = monitor.flights();
         assert!(!flights.is_empty(), "exhausted policy run records flights");
@@ -1055,10 +1105,9 @@ mod tests {
     #[test]
     fn policy_requires_enrolment_before_consuming_probes() {
         let (system, pop, recorder) = trained_system();
-        let matrix = GaussianMatrix::generate(15, system.embedding_dim());
         let probe = recorder.record(&pop.users()[0], Condition::Normal, 8800);
         assert!(matches!(
-            system.verify_with_policy(42, &[probe], &matrix, &VerifyPolicy::default()),
+            system.verify_with_policy(42, &[probe], &VerifyPolicy::default()),
             Err(MandiPassError::NotEnrolled { user_id: 42 })
         ));
     }

@@ -179,12 +179,15 @@ impl SecureEnclave {
         self.monitor = monitor;
     }
 
-    /// Stores (or replaces) the template of `user_id`.
+    /// Stores (or replaces) the template of `user_id`. A replaced
+    /// enrolment's degraded fallback template is dropped with it: it
+    /// was sealed under the old matrix.
     pub fn store(&self, user_id: u32, template: CancelableTemplate) {
         let mut inner = self.lock();
         inner.counts.stores += 1;
         inner.record(AuditKind::Store, user_id, true, None);
         inner.templates.insert(user_id, template);
+        inner.degraded.remove(&user_id);
         self.monitor.observe_audit(AuditKind::Store.label());
     }
 
@@ -398,6 +401,15 @@ mod tests {
         enclave.store(1, newer.clone());
         assert_eq!(enclave.load(1).unwrap(), newer);
         assert_eq!(enclave.len(), 1);
+    }
+
+    #[test]
+    fn replacement_drops_the_old_degraded_template() {
+        let enclave = SecureEnclave::new();
+        enclave.store(1, template(3));
+        enclave.store_degraded(1, template(4));
+        enclave.store(1, template(5));
+        assert_eq!(enclave.load_degraded(1), None);
     }
 
     #[test]

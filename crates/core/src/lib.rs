@@ -48,9 +48,10 @@
 //!     (0..4).map(|s| recorder.record(&population.users()[0], Condition::Normal, s)).collect();
 //! mandipass.enroll(0, &enrolment, &matrix)?;
 //!
-//! // Verification: a fresh probe from the genuine user.
+//! // Verification: a fresh probe from the genuine user, transformed
+//! // under the matrix the sealed template names.
 //! let probe = recorder.record(&population.users()[0], Condition::Normal, 99);
-//! let outcome = mandipass.verify(0, &probe, &matrix)?;
+//! let outcome = mandipass.verify(0, &probe)?;
 //! println!("accepted: {} (distance {:.3})", outcome.accepted, outcome.distance);
 //! # Ok(())
 //! # }

@@ -21,9 +21,9 @@
 //!   to HalfOpen.
 //! * **HalfOpen** — deterministic probe admission: every
 //!   [`BreakerConfig::probe_interval`]-th verify request is admitted as
-//!   a probe, the rest are fast-rejected.
-//!   [`BreakerConfig::close_after`] consecutive probe successes close
-//!   the breaker; one probe failure reopens it.
+//!   a probe, the rest are fast-rejected. The breaker closes after
+//!   [`BreakerConfig::close_after`] admitted probes: a served probe is
+//!   a success whatever its biometric outcome.
 //!
 //! Everything is **count-based**, never wall-clock-based: the window is
 //! a ring of the last N outcomes, cooldown counts rejections, and probe
@@ -104,7 +104,7 @@ pub struct BreakerConfig {
     pub cooldown_rejects: u64,
     /// In HalfOpen, admit every Nth verify request as a probe.
     pub probe_interval: u64,
-    /// Consecutive probe successes that close the breaker.
+    /// Admitted HalfOpen probes that close the breaker.
     pub close_after: u64,
     /// The `retry_after_ms` hint attached to breaker fast-rejects.
     pub retry_after_ms: u64,
@@ -150,8 +150,8 @@ pub enum RequestClass {
 /// The breaker's verdict for one request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
-    /// Serve it; report the outcome via [`CircuitBreaker::record_outcome`]
-    /// with `probe = false`.
+    /// Serve it; report it via [`CircuitBreaker::record_success`] with
+    /// `probe = false`.
     Admit,
     /// Serve it as a HalfOpen probe; report with `probe = true`.
     Probe,
@@ -173,7 +173,7 @@ pub struct Transition {
     pub from: BreakerState,
     /// State after.
     pub to: BreakerState,
-    /// Stable reason label (`error_rate`, `cooldown`, `probe_failed`,
+    /// Stable reason label (`error_rate`, `machine`,
     /// `probes_recovered`, `drift_alarm`, `drift_recovered`).
     pub reason: &'static str,
 }
@@ -299,44 +299,32 @@ impl CircuitBreaker {
         verdict
     }
 
-    /// Reports the outcome of an admitted request. `failure` means a
-    /// *system* fault (shed, internal error) — biometric rejections and
-    /// client mistakes are successful service. `probe` echoes whether
+    /// Reports an admitted request that was served. Served requests
+    /// are successes: biometric rejections and client mistakes are
+    /// successful service, and system faults reach the breaker through
+    /// [`CircuitBreaker::record_shed`]. `probe` echoes whether
     /// [`CircuitBreaker::admit`] returned [`Admission::Probe`].
-    pub fn record_outcome(&self, probe: bool, failure: bool) {
+    pub fn record_success(&self, probe: bool) {
         if !self.config.enabled {
             return;
         }
         let mut inner = self.lock();
-        if probe {
-            match inner.machine {
-                Machine::HalfOpen {
-                    ref mut successes, ..
-                } => {
-                    if failure {
-                        inner.machine = Machine::Open { rejected: 0 };
-                        Self::record_transition(&mut inner, BreakerState::Open, "probe_failed");
-                    } else {
-                        *successes += 1;
-                        if *successes >= self.config.close_after {
-                            inner.machine = Machine::Closed;
-                            inner.outcomes.clear();
-                            inner.failures = 0;
-                            Self::record_transition(
-                                &mut inner,
-                                BreakerState::Closed,
-                                "probes_recovered",
-                            );
-                        }
-                    }
+        match inner.machine {
+            Machine::HalfOpen {
+                ref mut successes, ..
+            } if probe => {
+                *successes += 1;
+                if *successes >= self.config.close_after {
+                    inner.machine = Machine::Closed;
+                    inner.outcomes.clear();
+                    inner.failures = 0;
+                    Self::record_transition(&mut inner, BreakerState::Closed, "probes_recovered");
                 }
-                // A probe outcome racing a transition is folded into the
-                // ordinary window instead of being lost.
-                _ => Self::push_outcome(&mut inner, &self.config, failure),
             }
-            return;
+            // A probe outcome racing a transition is folded into the
+            // ordinary window instead of being lost.
+            _ => Self::push_outcome(&mut inner, &self.config, false),
         }
-        Self::push_outcome(&mut inner, &self.config, failure);
     }
 
     /// Reports a shed the server performed on the breaker's behalf-less
@@ -344,7 +332,9 @@ impl CircuitBreaker {
     /// observations: a sustained shed rate is exactly the overload the
     /// breaker exists to answer.
     pub fn record_shed(&self) {
-        self.record_outcome(false, true);
+        if self.config.enabled {
+            Self::push_outcome(&mut self.lock(), &self.config, true);
+        }
     }
 
     fn push_outcome(inner: &mut Inner, config: &BreakerConfig, failure: bool) {
@@ -499,7 +489,7 @@ mod tests {
             Admission::Probe
         );
         assert_eq!(breaker.state(), BreakerState::HalfOpen);
-        breaker.record_outcome(true, false);
+        breaker.record_success(true);
         // Off-probe requests are still rejected between probes.
         assert!(matches!(
             breaker.admit(HealthStatus::Healthy, RequestClass::Verify),
@@ -509,7 +499,7 @@ mod tests {
             breaker.admit(HealthStatus::Healthy, RequestClass::Verify),
             Admission::Probe
         );
-        breaker.record_outcome(true, false);
+        breaker.record_success(true);
         assert_eq!(breaker.state(), BreakerState::Closed);
         assert_eq!(
             breaker.history(),
@@ -519,21 +509,6 @@ mod tests {
                 "half_open->closed:probes_recovered",
             ]
         );
-    }
-
-    #[test]
-    fn probe_failure_reopens() {
-        let breaker = CircuitBreaker::new(tight());
-        drive_open(&breaker);
-        for _ in 0..2 {
-            let _ = breaker.admit(HealthStatus::Healthy, RequestClass::Verify);
-        }
-        assert_eq!(
-            breaker.admit(HealthStatus::Healthy, RequestClass::Verify),
-            Admission::Probe
-        );
-        breaker.record_outcome(true, true);
-        assert_eq!(breaker.state(), BreakerState::Open);
     }
 
     #[test]
@@ -586,7 +561,7 @@ mod tests {
             breaker.record_shed();
         }
         for _ in 0..config.window {
-            breaker.record_outcome(false, false);
+            breaker.record_success(false);
         }
         for _ in 0..3 {
             breaker.record_shed();
@@ -605,8 +580,9 @@ mod tests {
                     RequestClass::Verify
                 };
                 match breaker.admit(HealthStatus::Healthy, class) {
-                    Admission::Admit => breaker.record_outcome(false, i % 2 == 0),
-                    Admission::Probe => breaker.record_outcome(true, false),
+                    Admission::Admit if i % 2 == 0 => breaker.record_shed(),
+                    Admission::Admit => breaker.record_success(false),
+                    Admission::Probe => breaker.record_success(true),
                     _ => {}
                 }
             }

@@ -80,7 +80,7 @@ pub use protocol::{
     deadline_ms_of, trace_id_of, with_deadline_ms, with_trace_id, Request, Response,
     DEADLINE_FIELD, PROTOCOL_VERSION, TRACE_FIELD,
 };
-pub use server::{ServeConfig, VerifyServer, QUEUE_ENV};
+pub use server::{ServeConfig, VerifyServer};
 pub use service::{PendingTrace, VerifyService, WireTiming};
 
 #[cfg(test)]

@@ -66,23 +66,6 @@ fn duration_nanos(duration: Duration) -> u64 {
     u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// Default bound on the admission queue (connections waiting for a
-/// worker), overridable via the `MANDIPASS_SERVE_QUEUE` environment
-/// variable through [`ServeConfig::default`].
-pub const DEFAULT_QUEUE_CAPACITY: usize = 64;
-
-/// Environment variable [`ServeConfig::default`] reads for the
-/// admission-queue capacity.
-pub const QUEUE_ENV: &str = "MANDIPASS_SERVE_QUEUE";
-
-fn env_queue_capacity() -> usize {
-    std::env::var(QUEUE_ENV)
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(DEFAULT_QUEUE_CAPACITY)
-}
-
 /// Server tuning knobs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ServeConfig {
@@ -109,7 +92,7 @@ impl Default for ServeConfig {
             workers: 4,
             read_timeout: Duration::from_secs(2),
             max_frame_bytes: protocol::DEFAULT_MAX_FRAME_BYTES,
-            queue_capacity: env_queue_capacity(),
+            queue_capacity: 64,
             retry_after_ms: 100,
             drain_window: Duration::from_millis(500),
         }
@@ -383,8 +366,12 @@ fn serve_connection(
                                     meta.deadline_ms.unwrap_or(0),
                                 ),
                             );
-                            let pending =
-                                PendingTrace::shed(trace_id, protocol::KIND_DEADLINE, timing);
+                            let pending = PendingTrace::undispatched(
+                                trace_id,
+                                "shed",
+                                protocol::KIND_DEADLINE,
+                                timing,
+                            );
                             (response, pending)
                         } else {
                             service.handle_traced(&request, trace_id, timing)
@@ -393,8 +380,12 @@ fn serve_connection(
                     Err(message) => {
                         mandipass_telemetry::counter!("serve.bad_requests").inc();
                         let response = Response::error("bad_request", message);
-                        let pending =
-                            PendingTrace::bad_request(mandipass_telemetry::mint_id(), timing);
+                        let pending = PendingTrace::undispatched(
+                            mandipass_telemetry::mint_id(),
+                            "bad_request",
+                            "bad_request",
+                            timing,
+                        );
                         (response, pending)
                     }
                 };
@@ -809,12 +800,5 @@ mod tests {
                 "server answered after shutdown"
             );
         }
-    }
-
-    #[test]
-    fn queue_env_knob_feeds_the_default_config() {
-        // Default when unset or garbled.
-        assert!(ServeConfig::default().queue_capacity >= 1);
-        assert_eq!(env_queue_capacity(), DEFAULT_QUEUE_CAPACITY);
     }
 }

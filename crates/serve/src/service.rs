@@ -1,7 +1,7 @@
 //! The transport-free request handler.
 //!
-//! [`VerifyService`] owns an enrolled [`MandiPass`] deployment plus the
-//! per-user Gaussian matrices and answers [`Request`] values directly.
+//! [`VerifyService`] owns an enrolled [`MandiPass`] deployment and
+//! answers [`Request`] values directly.
 //! Both fronts go through [`VerifyService::handle`] /
 //! [`VerifyService::handle_traced`] — the TCP workers in
 //! [`crate::server`] and in-process callers like the bench load
@@ -26,7 +26,6 @@
 //! the same templates (the enclave serialises its own audit trail; the
 //! extractor's inference path is read-only).
 
-use std::collections::BTreeMap;
 use std::time::Instant;
 
 use mandipass::prelude::*;
@@ -59,22 +58,13 @@ pub struct PendingTrace {
 }
 
 impl PendingTrace {
-    /// A trace for a frame that never parsed into a [`Request`]; the
-    /// decision is `error:bad_request`, so the sampler always keeps it.
-    pub fn bad_request(trace_id: u64, timing: WireTiming) -> Self {
-        let mut trace = RequestTrace::new(trace_id, "bad_request", "error:bad_request");
-        if timing.queue_wait_nanos > 0 {
-            trace.stage("queue_wait", timing.queue_wait_nanos);
-        }
-        trace.stage("decode", timing.decode_nanos);
-        PendingTrace { trace }
-    }
-
-    /// A trace for a request shed before dispatch (blown deadline,
-    /// shutdown drain); the decision is `error:{kind}`, so the sampler
-    /// always keeps it.
-    pub fn shed(trace_id: u64, kind: &str, timing: WireTiming) -> Self {
-        let mut trace = RequestTrace::new(trace_id, "shed", &format!("error:{kind}"));
+    /// A trace for a request that never reached dispatch, under
+    /// `endpoint`: `bad_request` for a frame that never parsed into a
+    /// [`Request`], `shed` for a request shed before dispatch (blown
+    /// deadline). The decision is `error:{kind}`, so the sampler always
+    /// keeps it.
+    pub fn undispatched(trace_id: u64, endpoint: &str, kind: &str, timing: WireTiming) -> Self {
+        let mut trace = RequestTrace::new(trace_id, endpoint, &format!("error:{kind}"));
         if timing.queue_wait_nanos > 0 {
             trace.stage("queue_wait", timing.queue_wait_nanos);
         }
@@ -131,7 +121,6 @@ fn decision_label(response: &Response) -> String {
 #[derive(Debug)]
 pub struct VerifyService {
     system: MandiPass,
-    matrices: BTreeMap<u32, GaussianMatrix>,
     policy: VerifyPolicy,
     breaker: CircuitBreaker,
 }
@@ -149,7 +138,6 @@ impl VerifyService {
     pub fn with_breaker(system: MandiPass, policy: VerifyPolicy, breaker: BreakerConfig) -> Self {
         VerifyService {
             system,
-            matrices: BTreeMap::new(),
             policy,
             breaker: CircuitBreaker::new(breaker),
         }
@@ -179,14 +167,14 @@ impl VerifyService {
         }
     }
 
-    /// Enrols `user_id` and retains the Gaussian matrix the server will
-    /// apply to that user's future probes (the cancelable-template
-    /// secret stays server-side, like the templates themselves).
+    /// Enrols `user_id` under `matrix`. The sealed template carries the
+    /// matrix's seed, so the cancelable-template secret stays
+    /// server-side with the template, and every later verify of the
+    /// user transforms under it.
     ///
     /// # Errors
     ///
-    /// Propagates enrolment failures; the matrix is only retained on
-    /// success.
+    /// Propagates enrolment failures.
     pub fn enroll(
         &mut self,
         user_id: u32,
@@ -194,7 +182,6 @@ impl VerifyService {
         matrix: GaussianMatrix,
     ) -> Result<(), MandiPassError> {
         self.system.enroll(user_id, recordings, &matrix)?;
-        self.matrices.insert(user_id, matrix);
         // Publish the (closed) breaker state so `GET /health` shows it
         // from the first request on, not only after a transition.
         if self.breaker.config().enabled {
@@ -231,15 +218,10 @@ impl VerifyService {
         self.system.fuse()
     }
 
-    /// Number of identities this service can verify: those with both a
-    /// retained matrix and a template in the enclave (a revoked user
-    /// keeps its matrix but not its template).
+    /// Number of identities this service can verify: those with a
+    /// template in the enclave.
     pub fn enrolled(&self) -> usize {
-        let enclave = self.system.enclave();
-        self.matrices
-            .keys()
-            .filter(|&&user_id| enclave.contains(user_id))
-            .count()
+        self.system.enclave().len()
     }
 
     /// Answers one request. Never panics; failures become
@@ -296,8 +278,7 @@ impl VerifyService {
                 // faults (sheds) reach the breaker through the server's
                 // `record_shed`, not through biometric outcomes.
                 if class != RequestClass::Health {
-                    self.breaker
-                        .record_outcome(admission == Admission::Probe, false);
+                    self.breaker.record_success(admission == Admission::Probe);
                 }
                 captured
             }
@@ -357,29 +338,21 @@ impl VerifyService {
                     enrolled: self.enrolled(),
                 }
             }
-            Request::Verify { user_id, probe } => {
-                let Some(matrix) = self.matrices.get(user_id) else {
-                    return not_enrolled(*user_id);
-                };
-                match self.system.verify(*user_id, probe, matrix) {
-                    Ok(outcome) => Response::Decision {
-                        accepted: outcome.accepted,
-                        distance: outcome.distance,
-                        threshold: outcome.threshold,
-                        degraded: false,
-                        attempts: 1,
-                        rejects: Vec::new(),
-                    },
-                    Err(e) => error_response(&e),
-                }
-            }
+            Request::Verify { user_id, probe } => match self.system.verify(*user_id, probe) {
+                Ok(outcome) => Response::Decision {
+                    accepted: outcome.accepted,
+                    distance: outcome.distance,
+                    threshold: outcome.threshold,
+                    degraded: false,
+                    attempts: 1,
+                    rejects: Vec::new(),
+                },
+                Err(e) => error_response(&e),
+            },
             Request::VerifyWithPolicy { user_id, probes } => {
-                let Some(matrix) = self.matrices.get(user_id) else {
-                    return not_enrolled(*user_id);
-                };
                 match self
                     .system
-                    .verify_with_policy(*user_id, probes, matrix, &self.policy)
+                    .verify_with_policy(*user_id, probes, &self.policy)
                 {
                     Ok(decision) => Response::Decision {
                         accepted: decision.outcome.accepted,
@@ -394,10 +367,6 @@ impl VerifyService {
             }
         }
     }
-}
-
-fn not_enrolled(user_id: u32) -> Response {
-    Response::error("not_enrolled", format!("user {user_id} has no template"))
 }
 
 fn error_response(error: &MandiPassError) -> Response {
@@ -437,12 +406,29 @@ mod tests {
             }
             other => panic!("expected a decision, got {other:?}"),
         }
-        match service.handle(&Request::Verify {
-            user_id: 9999,
-            probe,
-        }) {
-            Response::Error { kind, .. } => assert_eq!(kind, "not_enrolled"),
-            other => panic!("expected not_enrolled, got {other:?}"),
+        // An unknown user reaches the enclave, which logs one failed
+        // load per request; the id is this test's own, so the shared
+        // service's trail holds nothing else for it.
+        let unknown = 31_337;
+        let requests = [
+            Request::Verify {
+                user_id: unknown,
+                probe: probe.clone(),
+            },
+            Request::VerifyWithPolicy {
+                user_id: unknown,
+                probes: vec![probe],
+            },
+        ];
+        for (i, request) in requests.iter().enumerate() {
+            match service.handle(request) {
+                Response::Error { kind, .. } => assert_eq!(kind, "not_enrolled"),
+                other => panic!("expected not_enrolled, got {other:?}"),
+            }
+            let trail = service.system().enclave().audit_events_for(unknown);
+            assert_eq!(trail.len(), i + 1, "{trail:?}");
+            assert_eq!(trail[i].kind, AuditKind::Load);
+            assert!(!trail[i].outcome);
         }
     }
 

@@ -7,9 +7,9 @@
 //! of observed verification distances plus windowed decision counters,
 //! compares the live distance distribution against a frozen baseline via
 //! the population stability index ([`psi`]) and the Kolmogorov–Smirnov
-//! statistic ([`ks_statistic`]), and folds four signals — distance
-//! drift, reject-rate spike, degraded-mode ratio, and an FRR proxy —
-//! into one typed [`HealthStatus`].
+//! statistic ([`ks_statistic`]), and folds three signals — distance
+//! drift, reject-rate spike and degraded-mode ratio — into one typed
+//! [`HealthStatus`].
 
 use mandipass_util::json::Value;
 
@@ -84,13 +84,12 @@ pub enum HealthSignal {
     /// observed distance pmf.
     DistanceDrift,
     /// Fraction of windowed attempts rejected (verify misses plus
-    /// quality-gate rejections).
+    /// quality-gate rejections). With `r` verify rejects among `d`
+    /// decisions and `q` quality rejects it reads `(r+q)/(d+q)`, never
+    /// below the decision-only reject share `r/d`.
     RejectRateSpike,
     /// Fraction of windowed decisions made in degraded accel-only mode.
     DegradedRatio,
-    /// Fraction of windowed *decisions* that rejected — a false-reject
-    /// proxy under the assumption that live traffic is mostly genuine.
-    FrrProxy,
 }
 
 impl HealthSignal {
@@ -100,7 +99,6 @@ impl HealthSignal {
             HealthSignal::DistanceDrift => "distance_drift",
             HealthSignal::RejectRateSpike => "reject_rate_spike",
             HealthSignal::DegradedRatio => "degraded_ratio",
-            HealthSignal::FrrProxy => "frr_proxy",
         }
     }
 }
@@ -226,10 +224,6 @@ const REJECT_ALARM: f64 = 0.6;
 const DEGRADED_WARN: f64 = 0.25;
 /// Degraded-mode ratio alarm threshold.
 const DEGRADED_ALARM: f64 = 0.6;
-/// FRR-proxy warning threshold.
-const FRR_WARN: f64 = 0.25;
-/// FRR-proxy alarm threshold.
-const FRR_ALARM: f64 = 0.6;
 
 /// A counter over the detector's window geometry; the monitor keys its
 /// per-label counters on the same window.
@@ -383,7 +377,7 @@ impl DriftDetector {
         &self.distances
     }
 
-    /// Folds the four signals into one [`HealthReport`] at `now_ns`.
+    /// Folds the three signals into one [`HealthReport`] at `now_ns`.
     pub fn health_at(&self, now_ns: u64) -> HealthReport {
         let decisions = self.accepts.total_at(now_ns) + self.rejects.total_at(now_ns);
         let quality = self.quality_rejects.total_at(now_ns);
@@ -418,12 +412,6 @@ impl DriftDetector {
                 ratio(self.degraded.total_at(now_ns), decisions),
                 DEGRADED_WARN,
                 DEGRADED_ALARM,
-            ),
-            SignalReading::judge(
-                HealthSignal::FrrProxy,
-                ratio(self.rejects.total_at(now_ns), decisions),
-                FRR_WARN,
-                FRR_ALARM,
             ),
         ];
         if !sufficient {
@@ -503,7 +491,7 @@ mod tests {
         assert!(HealthStatus::Alarm > HealthStatus::Degrading);
         assert!(HealthStatus::Degrading > HealthStatus::Healthy);
         assert_eq!(HealthSignal::DistanceDrift.label(), "distance_drift");
-        assert_eq!(HealthSignal::FrrProxy.label(), "frr_proxy");
+        assert_eq!(HealthSignal::RejectRateSpike.label(), "reject_rate_spike");
     }
 
     #[test]
@@ -543,7 +531,7 @@ mod tests {
     }
 
     #[test]
-    fn detector_flags_reject_spike_and_frr() {
+    fn detector_flags_reject_spike() {
         let mut d = DriftDetector::new();
         for i in 0..20u64 {
             d.observe_decision_at(i + 1, 0.49, i % 4 == 0, false);
@@ -553,7 +541,6 @@ mod tests {
         assert_eq!(report.status, HealthStatus::Alarm);
         let reasons: Vec<_> = report.reasons().iter().map(|s| s.signal).collect();
         assert!(reasons.contains(&HealthSignal::RejectRateSpike));
-        assert!(reasons.contains(&HealthSignal::FrrProxy));
     }
 
     #[test]
@@ -619,12 +606,7 @@ mod tests {
         let d = DriftDetector::new();
         let json = d.health_at(1).to_json().to_json();
         assert!(json.contains("\"status\":\"healthy\""));
-        for label in [
-            "distance_drift",
-            "reject_rate_spike",
-            "degraded_ratio",
-            "frr_proxy",
-        ] {
+        for label in ["distance_drift", "reject_rate_spike", "degraded_ratio"] {
             assert!(json.contains(label), "missing {label}");
         }
     }

@@ -478,8 +478,7 @@ mod tests {
             r#"{"status":"degrading","decisions":19,"sufficient":true,"signals":["#,
             r#"{"signal":"distance_drift","value":0.7914136687362943,"warn":0.5,"alarm":2,"status":"degrading"},"#,
             r#"{"signal":"reject_rate_spike","value":0.4090909090909091,"warn":0.25,"alarm":0.6,"status":"degrading"},"#,
-            r#"{"signal":"degraded_ratio","value":0.2631578947368421,"warn":0.25,"alarm":0.6,"status":"degrading"},"#,
-            r#"{"signal":"frr_proxy","value":0.3157894736842105,"warn":0.25,"alarm":0.6,"status":"degrading"}]}"#,
+            r#"{"signal":"degraded_ratio","value":0.2631578947368421,"warn":0.25,"alarm":0.6,"status":"degrading"}]}"#,
         );
         assert_eq!(health.as_deref(), Some(GOLDEN));
     }

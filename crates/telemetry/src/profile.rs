@@ -16,9 +16,10 @@
 //! frames with no calls, so iteration — and therefore every export — is
 //! deterministic regardless of which worker thread recorded first, and
 //! every readout is a pure function of the recorded multiset: under the
-//! deterministic logical clock two identical-seed runs produce
-//! bit-identical profiles, the same property the trace sampler
-//! guarantees.
+//! deterministic logical clock two identical-seed in-process runs
+//! produce bit-identical profiles, the same property the trace sampler
+//! guarantees. A served profile is not: which worker runs which request,
+//! and which ticks other code on that thread reads, vary with timing.
 //!
 //! There are no signals, no syscalls, and no timers here: the profiler
 //! is exact (every span close is counted, nothing is sampled) and the

@@ -32,7 +32,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut genuine = Vec::new();
     for s in 0..6 {
         let probe = recorder.record(victim, Condition::Normal, 800 + s);
-        genuine.push(mandipass.verify(victim.id, &probe, &matrix)?.distance);
+        genuine.push(mandipass.verify(victim.id, &probe)?.distance);
     }
     let g_max = genuine.iter().cloned().fold(f64::MIN, f64::max);
     mandipass.config_mut().threshold = g_max * 1.3;
@@ -45,7 +45,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut detected = 0;
     for s in 0..10 {
         let probe = zero_effort_probe(attacker, &recorder, s);
-        if mandipass.verify(victim.id, &probe, &matrix).is_ok() {
+        if mandipass.verify(victim.id, &probe).is_ok() {
             detected += 1;
         }
     }
@@ -55,7 +55,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut accepted = 0;
     for s in 0..10 {
         let probe = vibration_aware_probe(attacker, &recorder, 900 + s);
-        if mandipass.verify(victim.id, &probe, &matrix)?.accepted {
+        if mandipass.verify(victim.id, &probe)?.accepted {
             accepted += 1;
         }
     }
@@ -66,7 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut best = f64::MAX;
     for s in 0..10 {
         let probe = impersonation_probe(attacker, victim, &recorder, 1000 + s);
-        let outcome = mandipass.verify(victim.id, &probe, &matrix)?;
+        let outcome = mandipass.verify(victim.id, &probe)?;
         best = best.min(outcome.distance);
         if outcome.accepted {
             accepted += 1;

@@ -34,9 +34,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut impostor = Vec::new();
     for s in 0..6 {
         let probe = recorder.record(driver, Condition::Normal, 50 + s);
-        genuine.push(mandipass.verify(driver.id, &probe, &matrix)?.distance);
+        genuine.push(mandipass.verify(driver.id, &probe)?.distance);
         let probe = recorder.record(&population.users()[1], Condition::Normal, 70 + s);
-        impostor.push(mandipass.verify(driver.id, &probe, &matrix)?.distance);
+        impostor.push(mandipass.verify(driver.id, &probe)?.distance);
     }
     let g_max = genuine.iter().cloned().fold(f64::MIN, f64::max);
     let i_min = impostor.iter().cloned().fold(f64::MAX, f64::min);
@@ -65,7 +65,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let mut mean = 0.0;
         for s in 0..attempts {
             let probe = recorder.record(driver, condition, 1000 + s);
-            let outcome = mandipass.verify(driver.id, &probe, &matrix)?;
+            let outcome = mandipass.verify(driver.id, &probe)?;
             mean += outcome.distance / f64::from(attempts as u32);
             if outcome.accepted {
                 accepted += 1;

@@ -56,10 +56,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut impostor = Vec::new();
     for s in 0..20 {
         let probe = recorder.record(user, Condition::Normal, 200 + s);
-        genuine.push(mandipass.verify(user.id, &probe, &matrix)?.distance);
+        genuine.push(mandipass.verify(user.id, &probe)?.distance);
         let other = &population.users()[1];
         let probe = recorder.record(other, Condition::Normal, 300 + s);
-        impostor.push(mandipass.verify(user.id, &probe, &matrix)?.distance);
+        impostor.push(mandipass.verify(user.id, &probe)?.distance);
     }
     let g_max = genuine.iter().cloned().fold(f64::MIN, f64::max);
     let i_min = impostor.iter().cloned().fold(f64::MAX, f64::min);
@@ -78,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let policy = VerifyPolicy::default();
     for s in 0..12 {
         let probe = recorder.record(user, Condition::Normal, 400 + s);
-        let _ = mandipass.verify_with_policy(user.id, &[probe], &matrix, &policy);
+        let _ = mandipass.verify_with_policy(user.id, &[probe], &policy);
     }
     let health = monitor.health();
     println!(
@@ -104,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     )
                 })
                 .collect();
-            let _ = mandipass.verify_with_policy(user.id, &probes, &matrix, &policy);
+            let _ = mandipass.verify_with_policy(user.id, &probes, &policy);
         }
         let health = monitor.health();
         let reasons: Vec<&str> = health.reasons().iter().map(|r| r.signal.label()).collect();

@@ -41,15 +41,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     println!("\n== Verification ==");
+    // Each verify transforms the probe under the matrix the sealed
+    // template names; the caller passes only the user and the probe.
     // Calibrate a working threshold for this tiny demo from a few scores.
     let mut genuine = Vec::new();
     let mut impostor = Vec::new();
     for s in 0..6 {
         let probe = recorder.record(user, Condition::Normal, 200 + s);
-        genuine.push(mandipass.verify(user.id, &probe, &matrix)?.distance);
+        genuine.push(mandipass.verify(user.id, &probe)?.distance);
         let other = &population.users()[1];
         let probe = recorder.record(other, Condition::Normal, 300 + s);
-        impostor.push(mandipass.verify(user.id, &probe, &matrix)?.distance);
+        impostor.push(mandipass.verify(user.id, &probe)?.distance);
     }
     let g_max = genuine.iter().cloned().fold(f64::MIN, f64::max);
     let i_min = impostor.iter().cloned().fold(f64::MAX, f64::min);
@@ -59,7 +61,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("calibrated threshold: {:.3}", mandipass.config().threshold);
 
     let probe = recorder.record(user, Condition::Normal, 999);
-    let outcome = mandipass.verify(user.id, &probe, &matrix)?;
+    let outcome = mandipass.verify(user.id, &probe)?;
     println!(
         "\nfresh genuine probe: distance {:.3} → {}",
         outcome.distance,
@@ -72,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let attacker = &population.users()[2];
     let probe = recorder.record(attacker, Condition::Normal, 998);
-    let outcome = mandipass.verify(user.id, &probe, &matrix)?;
+    let outcome = mandipass.verify(user.id, &probe)?;
     println!(
         "attacker probe:      distance {:.3} → {}",
         outcome.distance,
@@ -87,8 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // span tree + per-stage latency breakdown.
     if mandipass_telemetry::enabled() {
         let probe = recorder.record(user, Condition::Normal, 997);
-        let (outcome, tree) =
-            mandipass_telemetry::capture(|| mandipass.verify(user.id, &probe, &matrix));
+        let (outcome, tree) = mandipass_telemetry::capture(|| mandipass.verify(user.id, &probe));
         outcome?;
         println!("\n== Telemetry: one verify, per-stage latency ==");
         println!(

@@ -74,7 +74,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // The genuine user is unaffected: same hum, new matrix.
     let probe = recorder.record(user, Condition::Normal, 600);
-    let genuine = mandipass.verify(user.id, &probe, &matrix_two)?;
+    let genuine = mandipass.verify(user.id, &probe)?;
     println!(
         "genuine user after revocation: distance {:.4} → {}",
         genuine.distance,

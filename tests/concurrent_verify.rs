@@ -29,13 +29,7 @@ fn trained() -> (BiometricExtractor, Population, Recorder) {
 }
 
 /// A small trained deployment, one enrolled user, a private monitor.
-fn deployment() -> (
-    MandiPass,
-    &'static Monitor,
-    u32,
-    GaussianMatrix,
-    Vec<Recording>,
-) {
+fn deployment() -> (MandiPass, &'static Monitor, u32, Vec<Recording>) {
     let (extractor, pop, recorder) = trained();
     let mut system = MandiPass::new(extractor, PipelineConfig::default());
     let monitor: &'static Monitor = Box::leak(Box::new(Monitor::default()));
@@ -51,12 +45,12 @@ fn deployment() -> (
     let probes: Vec<Recording> = (0..THREADS * VERIFIES)
         .map(|i| recorder.record(user, Condition::Normal, 42_000 + i as u64))
         .collect();
-    (system, monitor, user.id, matrix, probes)
+    (system, monitor, user.id, probes)
 }
 
 #[test]
 fn concurrent_verifies_match_serial_bit_for_bit() {
-    let (system, monitor, user_id, matrix, probes) = deployment();
+    let (system, monitor, user_id, probes) = deployment();
 
     // Serial reference pass: the ground-truth decisions and the audit
     // events one verify costs (load + verdict — measured, not assumed).
@@ -64,7 +58,7 @@ fn concurrent_verifies_match_serial_bit_for_bit() {
     let serial: Vec<(bool, f64)> = probes
         .iter()
         .map(|p| {
-            let outcome = system.verify(user_id, p, &matrix).expect("serial verify");
+            let outcome = system.verify(user_id, p).expect("serial verify");
             (outcome.accepted, outcome.distance)
         })
         .collect();
@@ -92,11 +86,10 @@ fn concurrent_verifies_match_serial_bit_for_bit() {
             .enumerate()
         {
             let system = &system;
-            let matrix = &matrix;
             scope.spawn(move || {
                 for (probe, out) in chunk_probes.iter().zip(chunk_out) {
                     let outcome = system
-                        .verify(user_id, probe, matrix)
+                        .verify(user_id, probe)
                         .unwrap_or_else(|e| panic!("thread {t} verify: {e}"));
                     *out = (outcome.accepted, outcome.distance);
                 }
@@ -136,56 +129,66 @@ fn concurrent_verifies_match_serial_bit_for_bit() {
 }
 
 /// The matrix memo under contention: THREADS workers verify shared
-/// users, half the time under the user's enrolled matrix (a memo hit)
-/// and half under one of a few fresh matrices the threads share (a miss
-/// for whichever thread meets it first, and possibly for two at once).
-/// Every decision must equal a serial pass on an identical deployment.
+/// users. Half the slots claim a user whose enrolment drew its matrix
+/// (a memo hit). The other half claim one of a few users whose matrix
+/// the memo dropped when a twin enrolled under the same seed was revoked
+/// (a miss for whichever thread meets it first, and possibly for two at
+/// once). Every decision must equal a serial pass on an identical
+/// deployment.
 #[test]
 fn concurrent_memo_hits_and_misses_match_serial_bit_for_bit() {
     const USERS: usize = 2;
-    const FRESH: usize = 3;
+    const FRESH: u32 = 3;
+    const FRESH_ID: u32 = 100;
+    const TWIN_ID: u32 = 200;
     let (extractor, pop, recorder) = trained();
     let users = &pop.users()[..USERS];
     let dim = extractor.embedding_dim();
-    let enrolled = |u: usize| GaussianMatrix::generate(700 + u as u64, dim);
-    // Slot `i` probes user `i % USERS`; every other round of slots
-    // swaps the enrolled matrix for a fresh one.
-    let matrix_of = |i: usize| match (i / USERS) % 2 {
-        0 => enrolled(i % USERS),
-        _ => GaussianMatrix::generate(900 + (i / USERS / 2 % FRESH) as u64, dim),
+    let enrolment = |u: usize| -> Vec<Recording> {
+        (0..3)
+            .map(|s| recorder.record(&users[u], Condition::Normal, 43_000 + 10 * u as u64 + s))
+            .collect()
     };
     let deploy = || {
         let mut system = MandiPass::new(extractor.clone(), PipelineConfig::default());
         system.set_monitor(Box::leak(Box::new(Monitor::default())));
         for (u, user) in users.iter().enumerate() {
-            let enrolment: Vec<_> = (0..3)
-                .map(|s| recorder.record(user, Condition::Normal, 43_000 + 10 * u as u64 + s))
-                .collect();
+            let matrix = GaussianMatrix::generate(700 + u as u64, dim);
             system
-                .enroll(user.id, &enrolment, &enrolled(u))
+                .enroll(user.id, &enrolment(u), &matrix)
                 .expect("enroll");
+        }
+        for k in 0..FRESH {
+            let matrix = GaussianMatrix::generate(900 + u64::from(k), dim);
+            let recs = enrolment(k as usize % USERS);
+            for id in [FRESH_ID + k, TWIN_ID + k] {
+                system.enroll(id, &recs, &matrix).expect("enroll");
+            }
+            system.revoke(TWIN_ID + k).expect("twin enrolled");
         }
         system
     };
-    let slots: Vec<(u32, Recording, GaussianMatrix)> = (0..THREADS * VERIFIES)
+    // Slot `i` probes user `i % USERS`; every other round of slots
+    // claims a user whose matrix is no longer memoized.
+    let slots: Vec<(u32, Recording)> = (0..THREADS * VERIFIES)
         .map(|i| {
             let user = &users[i % USERS];
             let probe = recorder.record(user, Condition::Normal, 44_000 + i as u64);
-            (user.id, probe, matrix_of(i))
+            let claimed = match (i / USERS) % 2 {
+                0 => user.id,
+                _ => FRESH_ID + (i / USERS / 2) as u32 % FRESH,
+            };
+            (claimed, probe)
         })
         .collect();
-    let decide = |system: &MandiPass,
-                  (user_id, probe, matrix): &(u32, Recording, GaussianMatrix)| {
-        let outcome = system.verify(*user_id, probe, matrix).expect("verify");
+    let decide = |system: &MandiPass, (user_id, probe): &(u32, Recording)| {
+        let outcome = system.verify(*user_id, probe).expect("verify");
         (outcome.accepted, outcome.distance.to_bits())
     };
 
     let serial_system = deploy();
     let serial: Vec<(bool, u64)> = slots.iter().map(|s| decide(&serial_system, s)).collect();
-    assert!(
-        serial.iter().any(|d| d.0),
-        "no enrolled-matrix probe verified"
-    );
+    assert!(serial.iter().any(|d| d.0), "no genuine probe verified");
 
     let shared = deploy();
     let hits = mandipass_telemetry::metrics().counter("template.memo.hits");
@@ -199,10 +202,11 @@ fn concurrent_memo_hits_and_misses_match_serial_bit_for_bit() {
                 let (shared, slots, decide, start) = (&shared, &slots, &decide, &start);
                 scope.spawn(move || {
                     // All threads start together, so the first slots,
-                    // two of which share a fresh matrix, race for the memo.
+                    // two of which share an evicted matrix, race for the
+                    // memo.
                     start.wait();
                     // Interleave the slots across threads so every thread
-                    // meets every user and every fresh matrix.
+                    // meets every user and every evicted matrix.
                     (t..slots.len())
                         .step_by(THREADS)
                         .map(|i| (i, decide(shared, &slots[i])))
@@ -219,12 +223,12 @@ fn concurrent_memo_hits_and_misses_match_serial_bit_for_bit() {
     assert_eq!(concurrent, serial, "a memo hit or miss moved a decision");
     // Other tests in this binary only add to the global counters.
     assert!(
-        misses.get() - misses_before >= FRESH as u64,
-        "fresh matrices were not drawn"
+        misses.get() - misses_before >= u64::from(FRESH),
+        "evicted matrices were not drawn again"
     );
     assert!(
         hits.get() - hits_before >= (slots.len() / 2) as u64,
-        "enrolled matrices missed"
+        "memoized matrices missed"
     );
 }
 

@@ -83,7 +83,7 @@ fn same_seed_verify_emits_bit_identical_span_tree_and_audit_trail() {
             .collect();
         sys.enroll(user.id, &enrolment, &matrix).expect("enrols");
         let probe = rec.record(user, Condition::Normal, 8100);
-        let (outcome, tree) = mandipass_telemetry::capture(|| sys.verify(user.id, &probe, &matrix));
+        let (outcome, tree) = mandipass_telemetry::capture(|| sys.verify(user.id, &probe));
         outcome.expect("verifies");
         // The tree must cover the whole §III pipeline.
         for stage in [
@@ -103,7 +103,7 @@ fn same_seed_verify_emits_bit_identical_span_tree_and_audit_trail() {
         // pipeline under the walk. Its shape is pinned here.
         let retry = rec.record(user, Condition::Normal, 8101);
         let (decision, policy_tree) = mandipass_telemetry::capture(|| {
-            sys.verify_with_policy(user.id, &[retry], &matrix, &VerifyPolicy::default())
+            sys.verify_with_policy(user.id, &[retry], &VerifyPolicy::default())
         });
         decision.expect("decides");
         for stage in [
@@ -183,7 +183,7 @@ fn degraded_policy_verify_decides_inside_one_similarity_span() {
     let faulty = FaultyRecorder::new(rec, FaultProfile::stuck_gyro(1.0));
     let probe = faulty.record(user, Condition::Normal, 8200);
     let (decision, tree) = mandipass_telemetry::capture(|| {
-        sys.verify_with_policy(user.id, &[probe], &matrix, &VerifyPolicy::default())
+        sys.verify_with_policy(user.id, &[probe], &VerifyPolicy::default())
     });
     mandipass_telemetry::set_deterministic(false);
     let decision = decision.expect("decides");

@@ -53,10 +53,7 @@ fn lifecycle_enrol_verify_revoke() {
     let genuine: Vec<f64> = (0..6)
         .map(|s| {
             let probe = f.recorder.record(user, Condition::Normal, 9100 + s);
-            system
-                .verify(user.id, &probe, &matrix)
-                .expect("verifies")
-                .distance
+            system.verify(user.id, &probe).expect("verifies").distance
         })
         .collect();
     let impostor: Vec<f64> = (0..6)
@@ -64,10 +61,7 @@ fn lifecycle_enrol_verify_revoke() {
             let probe = f
                 .recorder
                 .record(&f.population.users()[1], Condition::Normal, 9200 + s);
-            system
-                .verify(user.id, &probe, &matrix)
-                .expect("verifies")
-                .distance
+            system.verify(user.id, &probe).expect("verifies").distance
         })
         .collect();
     let g_mean = genuine.iter().sum::<f64>() / genuine.len() as f64;
@@ -82,7 +76,7 @@ fn lifecycle_enrol_verify_revoke() {
     assert!(stolen.storage_bytes() > 0);
     let probe = f.recorder.record(user, Condition::Normal, 9300);
     assert!(matches!(
-        system.verify(user.id, &probe, &matrix),
+        system.verify(user.id, &probe),
         Err(MandiPassError::NotEnrolled { .. })
     ));
 }
@@ -119,9 +113,7 @@ fn cancelable_templates_break_across_matrices() {
 
     // The genuine user remains verifiable under the new matrix.
     let probe = f.recorder.record(user, Condition::Normal, 9500);
-    let genuine = system
-        .verify(user.id, &probe, &new_matrix)
-        .expect("verifies");
+    let genuine = system.verify(user.id, &probe).expect("verifies");
     assert!(genuine.distance < replay.distance);
 }
 
@@ -138,8 +130,8 @@ fn deterministic_pipeline_same_seed_same_outcome() {
     a.enroll(user.id, &enrolment, &matrix).expect("enrol a");
     b.enroll(user.id, &enrolment, &matrix).expect("enrol b");
     let probe = f.recorder.record(user, Condition::Normal, 9700);
-    let oa = a.verify(user.id, &probe, &matrix).expect("verify a");
-    let ob = b.verify(user.id, &probe, &matrix).expect("verify b");
+    let oa = a.verify(user.id, &probe).expect("verify a");
+    let ob = b.verify(user.id, &probe).expect("verify b");
     assert_eq!(oa, ob);
 }
 

@@ -97,11 +97,10 @@ proptest! {
     ) {
         let auth = untrained_authenticator();
         let rec = hostile_recording(&values);
-        let matrix = GaussianMatrix::generate(3, 32);
         // Nobody is enrolled: the policy must fail fast with NotEnrolled
         // regardless of how hostile the probe is.
         let err = auth
-            .verify_with_policy(9, &[rec], &matrix, &VerifyPolicy::default())
+            .verify_with_policy(9, &[rec], &VerifyPolicy::default())
             .expect_err("no template stored");
         prop_assert!(matches!(err, MandiPassError::NotEnrolled { user_id: 9 }));
     }

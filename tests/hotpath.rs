@@ -139,7 +139,7 @@ fn multi_probe_policy_walk_matches_direct_verification() {
 
         let p1 = recorder.record(&user, Condition::Normal, 901);
         let p2 = recorder.record(&user, Condition::Normal, 902);
-        let direct = sys.verify(user.id, &p1, &matrix).expect("verifies");
+        let direct = sys.verify(user.id, &p1).expect("verifies");
 
         // A non-finite probe fails the quality gate and has no degraded
         // fallback, so it consumes one attempt before p1 decides.
@@ -158,7 +158,7 @@ fn multi_probe_policy_walk_matches_direct_verification() {
             (vec![gated, p1.clone()], 2),
         ] {
             let multi = sys
-                .verify_with_policy(user.id, &probes, &matrix, &policy)
+                .verify_with_policy(user.id, &probes, &policy)
                 .expect("decides");
             assert_eq!(multi.attempts, attempts, "first quality-ok probe decides");
             assert_eq!(multi.outcome.accepted, direct.accepted);

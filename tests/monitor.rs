@@ -50,7 +50,7 @@ fn monitor_flags_fault_ramp_but_stays_healthy_on_clean_traffic() {
         .map(|s| {
             let probe = recorder.record(user, Condition::Normal, 9100 + s);
             system
-                .verify(user.id, &probe, &matrix)
+                .verify(user.id, &probe)
                 .expect("calibration verify")
                 .distance
         })
@@ -63,7 +63,7 @@ fn monitor_flags_fault_ramp_but_stays_healthy_on_clean_traffic() {
     let policy = VerifyPolicy::default();
     for s in 0..12 {
         let probe = recorder.record(user, Condition::Normal, 9200 + s);
-        let _ = system.verify_with_policy(user.id, &[probe], &matrix, &policy);
+        let _ = system.verify_with_policy(user.id, &[probe], &policy);
     }
     let clean = monitor.health();
     assert_eq!(
@@ -84,7 +84,7 @@ fn monitor_flags_fault_ramp_but_stays_healthy_on_clean_traffic() {
             let probes: Vec<_> = (0..3u64)
                 .map(|a| faulty.record(user, Condition::Normal, seed ^ (a << 48)))
                 .collect();
-            let _ = system.verify_with_policy(user.id, &probes, &matrix, &policy);
+            let _ = system.verify_with_policy(user.id, &probes, &policy);
         }
     }
     let ramp = monitor.health();
@@ -148,7 +148,7 @@ fn prometheus_exposition_of_a_live_system_passes_lint() {
     system.enroll(user.id, &enrolment, &matrix).expect("enroll");
     for s in 0..4 {
         let probe = recorder.record(user, Condition::Normal, 9600 + s);
-        let _ = system.verify(user.id, &probe, &matrix);
+        let _ = system.verify(user.id, &probe);
     }
     let text = render_prometheus(&monitor.snapshot());
     mandipass_telemetry::set_deterministic(false);

@@ -199,7 +199,6 @@ fn axis_masked_pipeline_keeps_shape() {
 fn enrolled_authenticator() -> (
     mandipass::prelude::MandiPass,
     mandipass_imu_sim::UserProfile,
-    mandipass::prelude::GaussianMatrix,
     Recorder,
 ) {
     use mandipass::prelude::*;
@@ -217,7 +216,7 @@ fn enrolled_authenticator() -> (
         .map(|s| recorder.record(&user, Condition::Normal, 0xe0 ^ s))
         .collect();
     auth.enroll(user.id, &enrol, &matrix).expect("enrolment");
-    (auth, user, matrix, recorder)
+    (auth, user, recorder)
 }
 
 #[test]
@@ -225,7 +224,7 @@ fn every_injector_ends_in_decision_or_typed_reject() {
     use mandipass::prelude::*;
     use mandipass_imu_sim::{FaultProfile, FaultyRecorder};
 
-    let (auth, user, matrix, recorder) = enrolled_authenticator();
+    let (auth, user, recorder) = enrolled_authenticator();
     let policy = VerifyPolicy::default();
     let profiles = [
         FaultProfile::clean(),
@@ -244,7 +243,7 @@ fn every_injector_ends_in_decision_or_typed_reject() {
             .collect();
         // Every injector must end in a decision or a typed rejection —
         // never a panic, never a reasonless error.
-        match auth.verify_with_policy(user.id, &probes, &matrix, &policy) {
+        match auth.verify_with_policy(user.id, &probes, &policy) {
             Ok(decision) => {
                 assert!(
                     (1..=policy.max_attempts).contains(&decision.attempts),
@@ -274,10 +273,10 @@ fn every_injector_ends_in_decision_or_typed_reject() {
 fn clean_probe_verifies_on_first_attempt() {
     use mandipass::prelude::*;
 
-    let (auth, user, matrix, recorder) = enrolled_authenticator();
+    let (auth, user, recorder) = enrolled_authenticator();
     let probe = recorder.record(&user, Condition::Normal, 0xc1ea);
     let decision = auth
-        .verify_with_policy(user.id, &[probe], &matrix, &VerifyPolicy::default())
+        .verify_with_policy(user.id, &[probe], &VerifyPolicy::default())
         .expect("clean probe reaches a decision");
     assert_eq!(decision.attempts, 1);
     assert!(!decision.degraded);
@@ -290,7 +289,7 @@ fn non_finite_probes_never_silently_accept() {
     use mandipass::prelude::*;
     use mandipass_imu_sim::{FaultProfile, FaultyRecorder};
 
-    let (auth, user, matrix, recorder) = enrolled_authenticator();
+    let (auth, user, recorder) = enrolled_authenticator();
     let before = mandipass_telemetry::metrics()
         .counter("quality.reject.non_finite")
         .get();
@@ -299,7 +298,7 @@ fn non_finite_probes_never_silently_accept() {
         .map(|a| faulty.record(&user, Condition::Normal, 0x4a4 ^ (a << 8)))
         .collect();
     let err = auth
-        .verify_with_policy(user.id, &probes, &matrix, &VerifyPolicy::default())
+        .verify_with_policy(user.id, &probes, &VerifyPolicy::default())
         .expect_err("NaN-laced probes must not verify");
     let MandiPassError::RetriesExhausted { attempts, reasons } = err else {
         panic!("expected RetriesExhausted, got {err}");
@@ -329,13 +328,13 @@ fn dead_gyro_falls_back_to_degraded_verification() {
     use mandipass::prelude::*;
     use mandipass_imu_sim::{FaultProfile, FaultyRecorder};
 
-    let (auth, user, matrix, recorder) = enrolled_authenticator();
+    let (auth, user, recorder) = enrolled_authenticator();
     let faulty = FaultyRecorder::new(recorder, FaultProfile::stuck_gyro(1.0));
     let probes: Vec<_> = (0..3u64)
         .map(|a| faulty.record(&user, Condition::Normal, 0xde6 ^ (a << 8)))
         .collect();
     let decision = auth
-        .verify_with_policy(user.id, &probes, &matrix, &VerifyPolicy::default())
+        .verify_with_policy(user.id, &probes, &VerifyPolicy::default())
         .expect("gyro-dead probes still reach a decision");
     assert!(decision.degraded, "dead gyro must take the degraded path");
     assert!(
@@ -358,11 +357,11 @@ fn truncated_capture_is_rejected_as_too_short() {
     use mandipass::prelude::*;
     use mandipass_imu_sim::{FaultProfile, FaultyRecorder};
 
-    let (auth, user, matrix, recorder) = enrolled_authenticator();
+    let (auth, user, recorder) = enrolled_authenticator();
     let faulty = FaultyRecorder::new(recorder, FaultProfile::truncate(0.95));
     let probe = faulty.record(&user, Condition::Normal, 0x7c8);
     let err = auth
-        .verify_with_policy(user.id, &[probe], &matrix, &VerifyPolicy::default())
+        .verify_with_policy(user.id, &[probe], &VerifyPolicy::default())
         .expect_err("a 95%-truncated capture must not verify");
     let MandiPassError::RetriesExhausted { reasons, .. } = err else {
         panic!("expected RetriesExhausted, got {err}");
