@@ -10,12 +10,11 @@
 //! close to the original.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use mandipass_util::rand::rngs::StdRng;
-use mandipass_util::rand::{Rng, SeedableRng};
-use mandipass_util::rand_distr::{Distribution, Normal};
+use mandipass_util::rand::SeedableRng;
+use mandipass_util::rand_distr::Normal;
 
 use crate::error::MandiPassError;
 
@@ -106,11 +105,7 @@ impl GaussianMatrix {
     pub fn transform(&self, print: &MandiblePrint) -> Result<CancelableTemplate, MandiPassError> {
         self.check_dim(print)?;
         let mut out = self.zero_template();
-        self.project(
-            &[print],
-            std::slice::from_mut(&mut out),
-            Rows::Stream(Cores::global()),
-        );
+        self.project(&[print], std::slice::from_mut(&mut out), Rows::Stream);
         Ok(out)
     }
 
@@ -127,7 +122,7 @@ impl GaussianMatrix {
         &self,
         prints: &[&MandiblePrint],
     ) -> Result<Vec<CancelableTemplate>, MandiPassError> {
-        self.transform_rows(prints, Rows::Stream(Cores::global()))
+        self.transform_rows(prints, Rows::Stream)
     }
 
     /// [`Self::transform_all`] with the rows of `G` taken from `rows`.
@@ -173,8 +168,8 @@ impl GaussianMatrix {
     /// row-major order and adding `x[i]·G[i][·]` into every output. Each
     /// output component is therefore the sum over ascending `i` of the
     /// same f32 products a column walk of the whole matrix would add, so
-    /// the result matches it bit for bit whether the rows are drawn now,
-    /// were drawn earlier, or are drawn in column bands.
+    /// the result matches it bit for bit whether the rows are drawn now
+    /// or were drawn earlier.
     fn project(&self, prints: &[&MandiblePrint], outs: &mut [CancelableTemplate], rows: Rows<'_>) {
         if prints.is_empty() {
             return;
@@ -189,135 +184,34 @@ impl GaussianMatrix {
         match rows {
             Rows::Drawn(matrix) => {
                 for (i, row) in matrix.chunks_exact(dim).enumerate() {
-                    add_row(prints, i, row, outs.iter_mut().map(|o| &mut o.values[..]));
+                    add_row(prints, i, row, outs);
                 }
             }
             Rows::Keep(matrix) => {
                 matrix.resize(dim * dim, 0.0);
                 let mut rng = self.rng();
                 for (i, row) in matrix.chunks_exact_mut(dim).enumerate() {
-                    draw_row(&mut rng, normal, row);
-                    add_row(prints, i, row, outs.iter_mut().map(|o| &mut o.values[..]));
+                    normal.fill_f32(&mut rng, row);
+                    add_row(prints, i, row, outs);
                 }
             }
-            Rows::Stream(cores) => {
-                // A memo-sized matrix is cheap to draw and stays on one
-                // core, claiming none.
-                let claim =
-                    (!MatrixMemo::admits(dim)).then(|| cores.claim(dim.min(Cores::MAX_BANDS)));
-                let bands = claim.as_ref().map_or(1, |claim| claim.held);
-                self.stream_banded(normal, prints, outs, bands);
+            Rows::Stream => {
+                let mut row = vec![0.0; dim];
+                let mut rng = self.rng();
+                for i in 0..dim {
+                    normal.fill_f32(&mut rng, &mut row);
+                    add_row(prints, i, &row, outs);
+                }
             }
         }
-    }
-
-    /// Streams `G` in `bands` column bands (clamped to `1..=dim`): the
-    /// caller and `bands − 1` scoped helper threads take them from one
-    /// queue. Each band replays the generator from the seed and
-    /// skips the words of the columns outside it, so it draws the very
-    /// entries a single pass draws, and writes only its own columns of
-    /// every output, each still summed over ascending `i`. The result is
-    /// bit-identical for every band count. A helper that cannot be
-    /// spawned leaves its band to the threads that run.
-    pub(crate) fn stream_banded(
-        &self,
-        normal: Normal,
-        prints: &[&MandiblePrint],
-        outs: &mut [CancelableTemplate],
-        bands: usize,
-    ) {
-        let dim = self.dim;
-        let bands = bands.clamp(1, dim.max(1));
-        // Carve one row buffer and every output into the same bands.
-        let mut row = vec![0.0; dim];
-        let mut row_rest = &mut row[..];
-        let mut outs_rest: Vec<&mut [f32]> = outs.iter_mut().map(|o| &mut o.values[..]).collect();
-        let work: Vec<Band<'_>> = (0..bands)
-            .map(|b| {
-                let start = b * dim / bands;
-                let width = (b + 1) * dim / bands - start;
-                let (row, rest) = std::mem::take(&mut row_rest).split_at_mut(width);
-                row_rest = rest;
-                let outs = outs_rest
-                    .iter_mut()
-                    .map(|out| {
-                        let (band, rest) = std::mem::take(out).split_at_mut(width);
-                        *out = rest;
-                        band
-                    })
-                    .collect();
-                Band { start, row, outs }
-            })
-            .collect();
-        let queue = Mutex::new(work);
-        // The guard drops before the band is drawn, so bands run at once.
-        let next = || queue.lock().unwrap_or_else(PoisonError::into_inner).pop();
-        let run = || {
-            while let Some(band) = next() {
-                band.draw(self, normal, prints);
-            }
-        };
-        std::thread::scope(|scope| {
-            for _ in 1..bands {
-                // A failed spawn only means fewer threads take bands.
-                let _ = std::thread::Builder::new().spawn_scoped(scope, run);
-            }
-            run();
-        });
-    }
-}
-
-/// One column band of a streamed pass: columns `start..start +
-/// row.len()` of `G`, drawn into `row`, and the same columns of every
-/// output.
-struct Band<'a> {
-    start: usize,
-    row: &'a mut [f32],
-    outs: Vec<&'a mut [f32]>,
-}
-
-impl Band<'_> {
-    /// Draws this band of every row of `matrix` from a fresh generator
-    /// and adds it into the band's outputs. Each entry takes two
-    /// generator words ([`Normal::sample`]), so skipping `2·c` words
-    /// steps over `c` columns.
-    fn draw(mut self, matrix: &GaussianMatrix, normal: Normal, prints: &[&MandiblePrint]) {
-        let before = 2 * self.start;
-        let after = 2 * (matrix.dim - self.start - self.row.len());
-        let mut rng = matrix.rng();
-        for i in 0..matrix.dim {
-            skip(&mut rng, before);
-            draw_row(&mut rng, normal, self.row);
-            skip(&mut rng, after);
-            add_row(prints, i, self.row, self.outs.iter_mut().map(|o| &mut **o));
-        }
-    }
-}
-
-/// Fills `row` with the generator's next entries of `G`.
-fn draw_row(rng: &mut StdRng, normal: Normal, row: &mut [f32]) {
-    for g in row {
-        *g = normal.sample(rng) as f32;
-    }
-}
-
-/// Advances the generator by `words` words.
-fn skip(rng: &mut StdRng, words: usize) {
-    for _ in 0..words {
-        rng.next_u64();
     }
 }
 
 /// Adds `x[i]·row` into each output, `x` being the matching print.
-fn add_row<'o>(
-    prints: &[&MandiblePrint],
-    i: usize,
-    row: &[f32],
-    outs: impl Iterator<Item = &'o mut [f32]>,
-) {
+fn add_row(prints: &[&MandiblePrint], i: usize, row: &[f32], outs: &mut [CancelableTemplate]) {
     for (print, out) in prints.iter().zip(outs) {
         let xi = print.as_slice()[i];
-        for (o, &g) in out.iter_mut().zip(row) {
+        for (o, &g) in out.values.iter_mut().zip(row) {
             *o += xi * g;
         }
     }
@@ -325,80 +219,13 @@ fn add_row<'o>(
 
 /// Where [`GaussianMatrix::project`] takes the rows of `G` from.
 enum Rows<'a> {
-    /// Draw each row from the seed into a one-row buffer; past the
-    /// memo's size, in column bands on the cores claimed from the pool.
-    Stream(&'a Cores),
+    /// Draw each row from the seed into a one-row buffer.
+    Stream,
     /// Draw each row from the seed and keep all `dim²` entries,
     /// row-major, in the buffer: a memo miss.
     Keep(&'a mut Vec<f32>),
     /// Read the rows of a matrix [`Rows::Keep`] drew earlier: a memo hit.
     Drawn(&'a [f32]),
-}
-
-/// The cores streamed draws hold, out of the machine's
-/// ([`std::thread::available_parallelism`]). A draw claims the free
-/// cores, and always at least one, for its whole duration: a draw that
-/// finds every core held runs on one band, and holding that one core
-/// too keeps later draws from splitting onto cores already busy.
-///
-/// The count publishes no other data, so its atomics are `Relaxed`.
-/// The `template.stream.cores` gauge follows it.
-pub(crate) struct Cores {
-    held: AtomicUsize,
-    total: usize,
-}
-
-impl Cores {
-    /// The most bands one draw splits into. Each band replays the whole
-    /// generator stream, about a tenth of a serial draw, so eight bands
-    /// already bring a draw to about a quarter of its serial time, and
-    /// each further band saves less than the replay it adds.
-    const MAX_BANDS: usize = 8;
-
-    /// A pool of `total` cores, none held.
-    fn new(total: usize) -> Self {
-        Cores {
-            held: AtomicUsize::new(0),
-            total,
-        }
-    }
-
-    /// The process-wide pool, sized to the machine.
-    fn global() -> &'static Cores {
-        static GLOBAL: OnceLock<Cores> = OnceLock::new();
-        GLOBAL
-            .get_or_init(|| Cores::new(std::thread::available_parallelism().map_or(1, |n| n.get())))
-    }
-
-    /// Claims the free cores, at most `want` and at least one.
-    fn claim(&self, want: usize) -> Claim<'_> {
-        let take = |held: usize| self.total.saturating_sub(held).clamp(1, want.max(1));
-        let (Ok(before) | Err(before)) =
-            self.held
-                .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |held| {
-                    Some(held + take(held))
-                });
-        let held = take(before);
-        stream_cores_gauge().add(held as f64);
-        Claim { cores: self, held }
-    }
-}
-
-/// Cores one draw holds, given back on drop.
-struct Claim<'a> {
-    cores: &'a Cores,
-    held: usize,
-}
-
-impl Drop for Claim<'_> {
-    fn drop(&mut self) {
-        self.cores.held.fetch_sub(self.held, Ordering::Relaxed);
-        stream_cores_gauge().add(-(self.held as f64));
-    }
-}
-
-fn stream_cores_gauge() -> &'static mandipass_telemetry::Gauge {
-    mandipass_telemetry::gauge!("template.stream.cores")
 }
 
 /// A bounded least-recently-used memo of drawn Gaussian matrices, keyed
@@ -670,6 +497,7 @@ mod tests {
     use super::*;
     use crate::similarity::cosine_distance;
     use mandipass_util::rand::Rng;
+    use mandipass_util::rand_distr::Distribution;
 
     fn random_print(seed: u64, dim: usize) -> MandiblePrint {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -787,7 +615,7 @@ mod tests {
 
     #[test]
     fn streaming_pass_matches_the_materialised_oracle_bit_for_bit() {
-        for dim in [1, 7, 64, 130, 512] {
+        for dim in [1, 7, 64, 129, 130, 257, 512] {
             for k in [1usize, 2, 6] {
                 for mseed in [0u64, 7, 0xdead_beef] {
                     let g = GaussianMatrix::generate(mseed, dim);
@@ -806,101 +634,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    fn held(cores: &Cores) -> usize {
-        cores.held.load(Ordering::Relaxed)
-    }
-
-    fn normal_for(dim: usize) -> Normal {
-        Normal::new(0.0, 1.0 / (dim as f64).sqrt()).unwrap()
-    }
-
-    #[test]
-    fn bands_match_the_materialised_oracle_bit_for_bit() {
-        // Band counts that do and do not divide each dim.
-        for dim in [129, 130, 257, 512] {
-            for k in [1usize, 2, 6] {
-                for mseed in [0u64, 7, 0xdead_beef] {
-                    let g = GaussianMatrix::generate(mseed, dim);
-                    let prints: Vec<MandiblePrint> = (0..k)
-                        .map(|p| random_print(500 * dim as u64 + p as u64, dim))
-                        .collect();
-                    let refs: Vec<&MandiblePrint> = prints.iter().collect();
-                    let want: Vec<Vec<u32>> = prints
-                        .iter()
-                        .map(|p| bits(&oracle_transform(&g, p)))
-                        .collect();
-                    for bands in 1..=5 {
-                        let mut outs: Vec<CancelableTemplate> =
-                            prints.iter().map(|_| g.zero_template()).collect();
-                        g.stream_banded(normal_for(dim), &refs, &mut outs, bands);
-                        let got: Vec<Vec<u32>> = outs.iter().map(|t| bits(t.as_slice())).collect();
-                        assert_eq!(got, want, "dim {dim} k {k} seed {mseed} bands {bands}");
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn band_counts_past_the_dim_clamp_to_one_column_each() {
-        let g = GaussianMatrix::generate(3, 4);
-        let p = random_print(8, 4);
-        let mut outs = vec![g.zero_template()];
-        g.stream_banded(normal_for(4), &[&p], &mut outs, 9);
-        assert_eq!(bits(outs[0].as_slice()), bits(&oracle_transform(&g, &p)));
-    }
-
-    #[test]
-    fn claims_are_given_back_after_every_streamed_pass() {
-        let cores = Cores::new(2);
-        let dim = 257;
-        let g = GaussianMatrix::generate(11, dim);
-        let p = random_print(21, dim);
-        let want = bits(&oracle_transform(&g, &p));
-        let got = g.transform_rows(&[&p, &p], Rows::Stream(&cores)).unwrap();
-        assert!(got.iter().all(|t| bits(t.as_slice()) == want));
-        assert_eq!(held(&cores), 0, "after a transform");
-
-        let short = random_print(21, dim - 1);
-        assert!(g
-            .transform_rows(&[&p, &short], Rows::Stream(&cores))
-            .is_err());
-        assert_eq!(held(&cores), 0, "after a dimension mismatch");
-
-        // Every core held elsewhere: the draw still gets one, runs one
-        // band, and gives it back.
-        let elsewhere = cores.claim(Cores::MAX_BANDS);
-        assert_eq!((elsewhere.held, held(&cores)), (2, 2));
-        let got = g.transform_rows(&[&p], Rows::Stream(&cores)).unwrap();
-        assert_eq!(bits(got[0].as_slice()), want);
-        assert_eq!(held(&cores), 2, "after a one-band draw");
-        drop(elsewhere);
-        assert_eq!(held(&cores), 0);
-
-        // Memo-sized matrices claim nothing.
-        let small = GaussianMatrix::generate(11, 128);
-        let elsewhere = cores.claim(1);
-        small
-            .transform_rows(&[&random_print(1, 128)], Rows::Stream(&cores))
-            .unwrap();
-        assert_eq!(held(&cores), 1);
-        drop(elsewhere);
-        assert_eq!(held(&cores), 0);
-    }
-
-    #[test]
-    fn claims_take_the_free_cores_and_at_least_one() {
-        let cores = Cores::new(3);
-        let first = cores.claim(2);
-        let second = cores.claim(Cores::MAX_BANDS);
-        let third = cores.claim(Cores::MAX_BANDS);
-        assert_eq!((first.held, second.held, third.held), (2, 1, 1));
-        assert_eq!(held(&cores), 4);
-        drop((first, second, third));
-        assert_eq!(held(&cores), 0);
-        assert_eq!(Cores::new(0).claim(0).held, 1);
     }
 
     #[test]

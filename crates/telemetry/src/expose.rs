@@ -106,9 +106,6 @@ fn help_text(name: &str) -> Option<&'static str> {
         "mandipass_template_memo_bytes" => {
             "Bytes the live matrix memos charge against their budgets."
         }
-        "mandipass_template_stream_cores" => {
-            "Cores held by streamed template draws, each holding at least one."
-        }
         _ => return None,
     })
 }
